@@ -10,6 +10,7 @@
 #include "moea/hypervolume.hpp"
 #include "moea/nsga2.hpp"
 #include "runtime/drc_matrix.hpp"
+#include "runtime/mdp_policy.hpp"
 #include "runtime/simulator.hpp"
 
 namespace {
@@ -150,6 +151,37 @@ void BM_DrcMatrixBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DrcMatrixBuild)->Arg(16)->Arg(64);
+
+/// Offline MDP planning (build + factored value iteration) over a database
+/// of range(0) random points on a range(1) x range(1) QoS-bin grid.
+void BM_MdpPlan(benchmark::State& state) {
+  auto& f = fixture_for(20);
+  const auto points = static_cast<std::size_t>(state.range(0));
+  dse::DesignDb db;
+  util::Rng rng(6);
+  while (db.size() < points) {
+    dse::DesignPoint p;
+    p.config = f.problem->decode(f.problem->random_genes(rng));
+    const auto res = f.problem->evaluate_schedule(p.config);
+    p.energy = res.energy;
+    p.makespan = res.makespan;
+    p.func_rel = res.func_rel;
+    db.add(p);
+  }
+  const rt::DrcMatrix drc(db, *f.reconfig);
+  rt::MdpPolicyParams params;
+  params.makespan_bins = params.func_rel_bins = static_cast<std::size_t>(state.range(1));
+  const rt::QosProcessParams qos;
+  const flt::FaultParams faults;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        rt::build_mdp_table(db, drc, db.ranges(), 0.5, qos, faults, params));
+  }
+}
+BENCHMARK(BM_MdpPlan)
+    ->ArgsProduct({{28, 56, 92}, {4, 6}})
+    ->ArgNames({"points", "bins"})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -66,9 +66,10 @@ struct RuntimeEvalParams {
   /// Run-time fault environment. Defaults to all-rates-zero: the fault seed
   /// is then never drawn and the evaluation is bit-for-bit the fault-free one.
   flt::FaultParams faults{};
-  /// Per-PE fault profiles (index = PeId). Empty: evaluate_policy derives
-  /// them from the app's platform (AVF / βp); the app-less
-  /// evaluate_policy_with path substitutes uniform defaults.
+  /// Per-PE fault profiles (index = PeId). Empty: evaluate_policy and
+  /// exp::Runner cells with an app derive them from the app's platform
+  /// (AVF / βp); the app-less evaluate_policy_with path substitutes uniform
+  /// defaults.
   std::vector<flt::PeFaultProfile> fault_profiles;
   /// Offline MDP planning knobs (PolicyKind::Mdp only).
   rt::MdpPolicyParams mdp{};

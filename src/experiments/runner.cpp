@@ -3,11 +3,13 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "faults/fault_model.hpp"
 #include "trace/trace.hpp"
 
 namespace clr::exp {
@@ -108,6 +110,11 @@ std::size_t Runner::add_cell(RunnerCell cell) {
   if (cell.drc != nullptr && cell.drc->size() != cell.db->size()) {
     throw std::invalid_argument("Runner::add_cell: drc size must match db size");
   }
+  if (cell.app != nullptr && cell.params.faults.enabled() && cell.params.fault_profiles.empty()) {
+    // The same per-PE heterogeneity exp::evaluate_policy derives from the
+    // app's platform (AVF / βp); only app-less cells keep uniform profiles.
+    cell.params.fault_profiles = flt::profiles_from_platform(cell.app->platform());
+  }
   metrics_.counter("runner.cells").add();
   cells_.push_back(std::move(cell));
   return cells_.size() - 1;
@@ -157,6 +164,16 @@ std::uint64_t Runner::grid_hash() const {
     if (cell.params.prefetch) {
       hash_value<std::uint8_t>(h, 1);
       hash_value<std::uint64_t>(h, cell.params.prefetch_params.min_observations);
+    }
+    // The per-PE profiles the faults are injected with (app cells carry the
+    // platform-derived ones from add_cell); app-less cells that run with the
+    // uniform defaults keep their historical hash.
+    if (cell.params.faults.enabled() && !cell.params.fault_profiles.empty()) {
+      hash_value<std::uint64_t>(h, cell.params.fault_profiles.size());
+      for (const auto& profile : cell.params.fault_profiles) {
+        hash_value<double>(h, profile.ser_scale);
+        hash_value<double>(h, profile.weibull_shape);
+      }
     }
   }
   return h;
@@ -219,18 +236,58 @@ RunOutcome Runner::run(const RunnerControl& control) {
     metrics_.counter("runner.drc_builds").add();
   }
 
-  // Phase 2: fan the pending (cell, replication) jobs out in waves of
+  std::vector<std::size_t> pending;
+  pending.reserve(total);
+  for (std::size_t job = 0; job < total; ++job) {
+    if (done[job] == 0) pending.push_back(job);
+  }
+
+  // Phase 2: one offline MDP plan per MDP cell with pending jobs, shared by
+  // all of its replications. Planning is RNG-free, so the shared table is
+  // bit-identical to a per-replication rebuild. Cells plan in parallel; a
+  // plan's time counts toward its cell's wall_ms.
+  std::vector<std::optional<rt::MdpTable>> plans(cells_.size());
+  std::vector<double> plan_ms(cells_.size(), 0.0);
+  if (!stopped) {
+    std::vector<std::size_t> to_plan;
+    for (const std::size_t job : pending) {
+      const std::size_t c = job / reps;
+      if (cells_[c].params.kind == PolicyKind::Mdp && (to_plan.empty() || to_plan.back() != c)) {
+        to_plan.push_back(c);
+      }
+    }
+    pool.parallel_for(
+        to_plan.size(),
+        [&](std::size_t k) {
+          const std::size_t c = to_plan[k];
+          const RunnerCell& cell = cells_[c];
+          CLR_TRACE_SPAN(plan_span, trace::Category::Exp, "exp.cell",
+                         {{"cell", c},
+                          {"label", cell.label},
+                          {"policy", policy_name(cell.params.kind)},
+                          {"p_rc", cell.params.p_rc},
+                          {"phase", "plan"}});
+          const rt::DrcMatrix* drc =
+              cell.drc != nullptr ? cell.drc : drc_cache.at({cell.app, cell.db}).get();
+          const auto start = std::chrono::steady_clock::now();
+          plans[c] = rt::build_mdp_table(*cell.db, *drc, cell.ranges, cell.params.p_rc,
+                                         cell.params.qos, cell.params.faults, cell.params.mdp);
+          plan_ms[c] = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+          metrics_.counter("runner.mdp_plans").add();
+        },
+        control.stop);
+    for (const std::size_t c : to_plan) stopped = stopped || !plans[c];
+  }
+
+  // Phase 3: fan the pending (cell, replication) jobs out in waves of
   // `batch_size`. Each job's seed derives only from (cell.seed, rep) and
   // each writes its own pre-sized slot, so neither the schedule, the wave
   // boundaries, nor a kill/resume cycle can change any observable result.
   std::vector<double> wall(total, 0.0);
   std::vector<std::uint8_t> fresh(total, 0);  ///< executed in THIS run (metrics)
   if (!stopped) {
-    std::vector<std::size_t> pending;
-    pending.reserve(total);
-    for (std::size_t job = 0; job < total; ++job) {
-      if (done[job] == 0) pending.push_back(job);
-    }
     const std::size_t wave = control.batch_size > 0 ? control.batch_size : std::max<std::size_t>(pending.size(), 1);
     CLR_TRACE_SPAN(grid_span, trace::Category::Exp, "exp.grid",
                    {{"cells", cells_.size()},
@@ -263,8 +320,9 @@ RunOutcome Runner::run(const RunnerControl& control) {
             const rel::ClrSpace* clr_space =
                 cell.app != nullptr ? &cell.app->clr_space() : nullptr;
             const auto start = std::chrono::steady_clock::now();
+            const rt::MdpTable* plan = plans[c] ? &*plans[c] : nullptr;
             stats[job] = evaluate_policy_with(*cell.db, *drc, cell.ranges, cell.params,
-                                              replication_seed(cell.seed, r), clr_space);
+                                              replication_seed(cell.seed, r), clr_space, plan);
             wall[job] = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - start)
                             .count();
@@ -293,7 +351,7 @@ RunOutcome Runner::run(const RunnerControl& control) {
     }
   }
 
-  // Phase 3: aggregate sequentially in cell/replication order over the
+  // Phase 4: aggregate sequentially in cell/replication order over the
   // completed jobs. Restored and freshly-run stats are interchangeable here,
   // so a resumed grid's ReplicatedStats are bit-identical. Metrics count
   // only this run's work (restored jobs were counted by the original run).
@@ -305,6 +363,7 @@ RunOutcome Runner::run(const RunnerControl& control) {
     res.label = cells_[c].label;
     res.params = cells_[c].params;
     res.seed = cells_[c].seed;
+    res.wall_ms = plan_ms[c];
     std::vector<rt::RuntimeStats> cell_runs;
     cell_runs.reserve(reps);
     for (std::size_t r = 0; r < reps; ++r) {

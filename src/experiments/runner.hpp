@@ -93,8 +93,9 @@ struct CellResult {
   RuntimeEvalParams params;
   std::uint64_t seed = 0;
   ReplicatedStats stats;
-  /// Summed wall-clock of this cell's replication jobs, milliseconds
-  /// (observability only — not part of the deterministic payload).
+  /// Summed wall-clock of this cell's replication jobs plus its one MDP
+  /// plan, milliseconds (observability only — not part of the deterministic
+  /// payload).
   double wall_ms = 0.0;
   /// Per-replication raw runs, kept when RunnerConfig::keep_runs (paired
   /// per-seed comparisons, traces).
@@ -167,7 +168,9 @@ class Runner {
  public:
   explicit Runner(RunnerConfig config = {}) : config_(config) {}
 
-  /// Queue a cell; returns its index into the run() result vector.
+  /// Queue a cell; returns its index into the run() result vector. A cell
+  /// with an app, faults on and no fault_profiles gets the app platform's
+  /// profiles, as exp::evaluate_policy derives them.
   std::size_t add_cell(RunnerCell cell);
 
   /// Expand cells × replications, fan the jobs out, aggregate. Results are
@@ -181,8 +184,8 @@ class Runner {
   RunOutcome run(const RunnerControl& control);
 
   /// FNV-1a over the grid's result-affecting identity: cell labels, seeds,
-  /// policy/p_rc/simulation/fault parameters, db sizes, QoS ranges and the
-  /// replication count. Deliberately excludes `jobs` (thread count never
+  /// policy/p_rc/simulation/fault parameters and (faults on) per-PE fault
+  /// profiles, db sizes, QoS ranges and the replication count. Deliberately excludes `jobs` (thread count never
   /// affects results) and wall-clock observability.
   std::uint64_t grid_hash() const;
 
@@ -191,6 +194,7 @@ class Runner {
 
   /// Harness counters/timers: runner.cells, runner.jobs, runner.events,
   /// runner.reconfigs, runner.drc_builds, runner.drc_cache_hits,
+  /// runner.mdp_plans (one per MDP cell, shared by its replications),
   /// runner.drc_build (timer), runner.cell (timer).
   util::MetricsRegistry& metrics() { return metrics_; }
   const util::MetricsRegistry& metrics() const { return metrics_; }

@@ -40,14 +40,16 @@ class DrcMatrix {
   /// binaries. nullptr mask keeps the plain lookup.
   double drc(std::size_t from, std::size_t to, const std::vector<bool>* point_alive) const;
 
-  /// Largest pairwise cost in the table (global normalization scale).
-  double max_drc() const;
+  /// Largest pairwise cost in the table (global normalization scale),
+  /// computed once at construction.
+  double max_drc() const { return max_drc_; }
 
   std::size_t size() const { return n_; }
 
  private:
   std::size_t n_ = 0;
   std::vector<double> costs_;
+  double max_drc_ = 0.0;
 };
 
 }  // namespace clr::rt

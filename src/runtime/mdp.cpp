@@ -32,6 +32,23 @@ double backup(const Mdp& mdp, const std::vector<double>& value, double gamma, st
   return best;
 }
 
+/// Throws std::invalid_argument unless `row` is a distribution over
+/// [0, limit) that sums to 1 within 1e-9. `owner` prefixes the message.
+void validate_row(const MdpRow& row, std::size_t limit, const char* owner) {
+  const auto fail = [&](const std::string& what) {
+    throw std::invalid_argument(std::string(owner) + ": " + what);
+  };
+  double sum = 0.0;
+  for (const auto& [next, prob] : row) {
+    if (next >= limit) fail("next state out of range");
+    if (prob < 0.0) fail("negative transition probability");
+    sum += prob;
+  }
+  if (std::abs(sum - 1.0) > 1e-9) {
+    fail("transition row sums to " + std::to_string(sum) + ", expected 1");
+  }
+}
+
 }  // namespace
 
 void Mdp::validate() const {
@@ -47,18 +64,7 @@ void Mdp::validate() const {
   for (std::uint32_t r : row_of) {
     if (r >= rows.size()) throw std::invalid_argument("Mdp: row id out of range");
   }
-  for (const MdpRow& row : rows) {
-    double sum = 0.0;
-    for (const auto& [next, prob] : row) {
-      if (next >= num_states) throw std::invalid_argument("Mdp: next state out of range");
-      if (prob < 0.0) throw std::invalid_argument("Mdp: negative transition probability");
-      sum += prob;
-    }
-    if (std::abs(sum - 1.0) > 1e-9) {
-      throw std::invalid_argument("Mdp: transition row sums to " + std::to_string(sum) +
-                                  ", expected 1");
-    }
-  }
+  for (const MdpRow& row : rows) validate_row(row, num_states, "Mdp");
   if (!allowed.empty()) {
     for (std::size_t s = 0; s < num_states; ++s) {
       bool any = false;
@@ -112,6 +118,132 @@ MdpSolution solve_value_iteration(const Mdp& mdp, const ValueIterationOptions& o
   // the reported policy matches `value` regardless of sweep order).
   for (std::size_t s = 0; s < mdp.num_states; ++s) {
     backup(mdp, sol.value, opts.gamma, s, sol.policy[s]);
+  }
+  return sol;
+}
+
+void FactoredMdp::validate() const {
+  if (num_bins == 0 || num_actions == 0) {
+    throw std::invalid_argument("FactoredMdp: num_bins and num_actions must be > 0");
+  }
+  if (kernel.size() != num_bins) throw std::invalid_argument("FactoredMdp: kernel size mismatch");
+  if (reward.size() != num_states() * num_actions) {
+    throw std::invalid_argument("FactoredMdp: reward size mismatch");
+  }
+  for (const MdpRow& row : kernel) validate_row(row, num_bins, "FactoredMdp");
+}
+
+Mdp FactoredMdp::expand() const {
+  const std::size_t n = num_actions;
+  Mdp mdp;
+  mdp.num_states = num_states();
+  mdp.num_actions = n;
+  mdp.reward = reward;
+  mdp.rows.resize(num_bins * n);
+  mdp.row_of.resize(mdp.num_states * n);
+  for (std::size_t bin = 0; bin < num_bins; ++bin) {
+    for (std::size_t a = 0; a < n; ++a) {
+      MdpRow& row = mdp.rows[bin * n + a];
+      row.reserve(kernel[bin].size());
+      for (const auto& [nb, prob] : kernel[bin]) {
+        row.emplace_back(static_cast<std::uint32_t>(nb * n + a), prob);
+      }
+    }
+    for (std::size_t cur = 0; cur < n; ++cur) {
+      for (std::size_t a = 0; a < n; ++a) {
+        mdp.row_of[(bin * n + cur) * n + a] = static_cast<std::uint32_t>(bin * n + a);
+      }
+    }
+  }
+  return mdp;
+}
+
+MdpSolution solve_value_iteration(const FactoredMdp& mdp, const ValueIterationOptions& opts) {
+  if (opts.gamma < 0.0 || opts.gamma >= 1.0) {
+    throw std::invalid_argument("solve_value_iteration: gamma must be in [0,1)");
+  }
+  const std::size_t n = mdp.num_actions;
+  MdpSolution sol;
+  sol.value.assign(mdp.num_states(), 0.0);
+  sol.policy.assign(mdp.num_states(), 0);
+
+  // expected[a] = E(bin, a) over the current values, accumulated in kernel
+  // order exactly like the generic backup's per-row sum, so every partial
+  // sum (and therefore every bit) matches it.
+  std::vector<double> expected(n);
+  const auto fill_expected = [&](std::size_t bin) {
+    std::fill(expected.begin(), expected.end(), 0.0);
+    for (const auto& [nb, prob] : mdp.kernel[bin]) {
+      const double* v = sol.value.data() + nb * n;
+      for (std::size_t a = 0; a < n; ++a) expected[a] += prob * v[a];
+    }
+  };
+  const auto refresh_expected = [&](std::size_t bin, std::size_t a) {
+    double e = 0.0;
+    for (const auto& [nb, prob] : mdp.kernel[bin]) e += prob * sol.value[nb * n + a];
+    expected[a] = e;
+  };
+  // Generic backup of state (bin, cur) over the shared expectations: the
+  // first maximum of R + gamma·E, the same expression in the same order.
+  const auto backup_state = [&](std::size_t s, std::uint32_t& best_action) {
+    const double* r = mdp.reward.data() + s * n;
+    double best = kNegInf;
+    std::uint32_t arg = 0;
+    for (std::size_t a = 0; a < n; ++a) {
+      const double q = r[a] + opts.gamma * expected[a];
+      if (q > best) {
+        best = q;
+        arg = static_cast<std::uint32_t>(a);
+      }
+    }
+    best_action = arg;
+    return best;
+  };
+  // Writing V(bin, cur) changes E(bin, cur) only if the bin can stay put.
+  std::vector<std::uint8_t> self_loop(mdp.num_bins, 0);
+  for (std::size_t bin = 0; bin < mdp.num_bins; ++bin) {
+    for (const auto& entry : mdp.kernel[bin]) self_loop[bin] |= entry.first == bin ? 1 : 0;
+  }
+  // One Gauss-Seidel update of (bin, cur). E(bin, ·) was filled when the
+  // sweep entered the bin, and since then only V(bin, ·) has changed: each
+  // write refreshes the one expectation it feeds, so every later state of
+  // the bin reads exactly the values the generic in-place sweep reads.
+  const auto update = [&](std::size_t bin, std::size_t cur, double& residual) {
+    const std::size_t s = bin * n + cur;
+    std::uint32_t a = 0;
+    const double v = backup_state(s, a);
+    residual = std::max(residual, std::abs(v - sol.value[s]));
+    sol.value[s] = v;
+    if (self_loop[bin] != 0) refresh_expected(bin, cur);
+  };
+
+  for (std::size_t sweep = 0; sweep < opts.max_sweeps; ++sweep) {
+    double residual = 0.0;
+    if (opts.order == SweepOrder::Forward) {
+      for (std::size_t bin = 0; bin < mdp.num_bins; ++bin) {
+        fill_expected(bin);
+        for (std::size_t cur = 0; cur < n; ++cur) update(bin, cur, residual);
+      }
+    } else {
+      for (std::size_t bin = mdp.num_bins; bin-- > 0;) {
+        fill_expected(bin);
+        for (std::size_t cur = n; cur-- > 0;) update(bin, cur, residual);
+      }
+    }
+    sol.iterations = sweep + 1;
+    sol.residual = residual;
+    if (residual <= opts.tolerance) {
+      sol.converged = true;
+      break;
+    }
+  }
+
+  // Greedy policy of the final value function (no writes, so one fill per bin).
+  for (std::size_t bin = 0; bin < mdp.num_bins; ++bin) {
+    fill_expected(bin);
+    for (std::size_t cur = 0; cur < n; ++cur) {
+      backup_state(bin * n + cur, sol.policy[bin * n + cur]);
+    }
   }
   return sol;
 }

@@ -9,10 +9,11 @@
 // the solvers can be proven optimal against exhaustive small-instance oracles
 // (tests/runtime/test_mdp_oracle.cpp) independent of any QoS semantics.
 //
-// Transition rows are stored sparsely and shared via `row_of`: the QoS-bin
-// kernel's next-state distribution depends only on (bin, action), so the S×A
-// table points into B×A distinct rows instead of materializing a dense
-// S×A×S tensor (which would not fit for production-sized databases).
+// Transition rows are stored sparsely and shared via `row_of`, so the S×A
+// table points into distinct rows instead of materializing a dense S×A×S
+// tensor. The QoS binding goes one step further: FactoredMdp stores only the
+// bin kernel, and its solver shares one expectation per (bin, action) across
+// the bin's states, bit-identically to the generic solver.
 //
 // All solvers are deterministic: no RNG, fixed sweep orders, and the sweep
 // order is a caller-visible knob precisely so tests can prove the fixed point
@@ -56,6 +57,34 @@ struct Mdp {
   void validate() const;
 };
 
+/// The factored form of a QoS-binned MDP (DESIGN.md §5.14). A state is
+/// (bin, cur), numbered bin * num_actions + cur; action a moves to
+/// (next bin, a) with the bin kernel's probability, the same for every a and
+/// every cur. So one sparse kernel row per bin replaces the generic form's
+/// bins × actions rows, and E(bin, a) = Σ K[bin][nb]·V(nb, a) is shared by
+/// every `cur` of the bin — the structure the factored solver exploits.
+struct FactoredMdp {
+  std::size_t num_bins = 0;
+  /// Actions per state = states per bin (the action is the next `cur`).
+  std::size_t num_actions = 0;
+  /// Next-bin distribution per bin: (next bin, probability) pairs.
+  std::vector<MdpRow> kernel;
+  /// Immediate reward per (state, action), row-major:
+  /// (bin * num_actions + cur) * num_actions + a.
+  std::vector<double> reward;
+
+  std::size_t num_states() const { return num_bins * num_actions; }
+
+  /// Structural check: sizes consistent, kernel rows stochastic (1e-9) and
+  /// in range. Throws std::invalid_argument.
+  void validate() const;
+
+  /// The equivalent generic MDP: row (bin, a) lists ((nb, a), K[bin][nb])
+  /// in kernel order, shared by every state of the bin. For the
+  /// policy-iteration fallback and the bit-identity tests.
+  Mdp expand() const;
+};
+
 /// Gauss-Seidel sweep direction for in-place value iteration.
 enum class SweepOrder { Forward, Reverse };
 
@@ -81,6 +110,11 @@ struct MdpSolution {
 /// in fewer sweeps than Jacobi iteration. The returned policy is the greedy
 /// policy of the final value function.
 MdpSolution solve_value_iteration(const Mdp& mdp, const ValueIterationOptions& opts);
+
+/// The same value iteration over the factored form, bit-identical to the
+/// generic solver on expand() — values, policy, iterations, residual and
+/// `converged` — at B·N·(N + 2B) work per sweep instead of B²·N².
+MdpSolution solve_value_iteration(const FactoredMdp& mdp, const ValueIterationOptions& opts);
 
 /// Howard policy iteration: exact policy evaluation (dense linear solve) +
 /// greedy improvement until the policy is stable. The fallback for kernels

@@ -7,6 +7,7 @@
 
 #include "common/stats.hpp"
 #include "runtime/mdp.hpp"
+#include "trace/trace.hpp"
 
 namespace clr::rt {
 
@@ -61,10 +62,10 @@ std::size_t MdpTable::bin_of(const dse::QosSpec& spec) const {
   return s * func_rel_bins + f;
 }
 
-MdpTable build_mdp_table(const dse::DesignDb& db, const DrcMatrix& drc,
-                         const dse::MetricRanges& ranges, double p_rc,
-                         const QosProcessParams& qos, const flt::FaultParams& faults,
-                         const MdpPolicyParams& params) {
+FactoredMdp build_mdp_model(const dse::DesignDb& db, const DrcMatrix& drc,
+                            const dse::MetricRanges& ranges, double p_rc,
+                            const QosProcessParams& qos, const flt::FaultParams& faults,
+                            const MdpPolicyParams& params) {
   if (db.empty()) throw std::invalid_argument("build_mdp_table: empty database");
   if (params.makespan_bins == 0 || params.func_rel_bins == 0) {
     throw std::invalid_argument("build_mdp_table: bin counts must be >= 1");
@@ -113,14 +114,12 @@ MdpTable build_mdp_table(const dse::DesignDb& db, const DrcMatrix& drc,
     evac_norm[k] = (evac / static_cast<double>(points)) / drc_hi;
   }
 
-  // Assemble the factored MDP: state = bin * points + current, action = next
-  // point. The next state is (next bin, action), so the transition row
-  // depends only on (bin, action) — bins × points shared rows.
-  Mdp mdp;
-  mdp.num_states = states;
+  // State = bin * points + current, action = next point; the next state is
+  // (next bin, action), so only the bin kernel is stored.
+  FactoredMdp mdp;
+  mdp.num_bins = bins;
   mdp.num_actions = points;
-  mdp.row_of.resize(states * points);
-  mdp.rows.resize(bins * points);
+  mdp.kernel.resize(bins);
   mdp.reward.resize(states * points);
   for (std::size_t bs = 0; bs < params.makespan_bins; ++bs) {
     for (std::size_t bf = 0; bf < params.func_rel_bins; ++bf) {
@@ -131,28 +130,25 @@ MdpTable build_mdp_table(const dse::DesignDb& db, const DrcMatrix& drc,
       dse::QosSpec center;
       center.max_makespan = ranges.makespan_min + (static_cast<double>(bs) + 0.5) * s_width;
       center.min_func_rel = ranges.func_rel_min + (static_cast<double>(bf) + 0.5) * f_width;
-      for (std::size_t a = 0; a < points; ++a) {
-        MdpRow& row = mdp.rows[bin * points + a];
-        row.reserve(bins);
-        for (std::size_t ns = 0; ns < params.makespan_bins; ++ns) {
-          for (std::size_t nf = 0; nf < params.func_rel_bins; ++nf) {
-            const double prob =
-                t_s[bs * params.makespan_bins + ns] * t_f[bf * params.func_rel_bins + nf];
-            if (prob <= 0.0) continue;
-            const std::size_t nbin = ns * params.func_rel_bins + nf;
-            row.emplace_back(static_cast<std::uint32_t>(nbin * points + a), prob);
-          }
-        }
-        // Numerical drift of the CDF products: renormalize so validate()'s
-        // stochasticity contract holds exactly within tolerance.
-        double sum = 0.0;
-        for (const auto& e : row) sum += e.second;
-        if (sum > 0.0) {
-          for (auto& e : row) e.second /= sum;
+      MdpRow& row = mdp.kernel[bin];
+      row.reserve(bins);
+      for (std::size_t ns = 0; ns < params.makespan_bins; ++ns) {
+        for (std::size_t nf = 0; nf < params.func_rel_bins; ++nf) {
+          const double prob =
+              t_s[bs * params.makespan_bins + ns] * t_f[bf * params.func_rel_bins + nf];
+          if (prob <= 0.0) continue;
+          row.emplace_back(static_cast<std::uint32_t>(ns * params.func_rel_bins + nf), prob);
         }
       }
+      // Numerical drift of the CDF products: renormalize so validate()'s
+      // stochasticity contract holds exactly within tolerance.
+      double sum = 0.0;
+      for (const auto& e : row) sum += e.second;
+      if (sum > 0.0) {
+        for (auto& e : row) e.second /= sum;
+      }
       for (std::size_t cur = 0; cur < points; ++cur) {
-        const std::size_t s = bin * points + cur;
+        double* out = mdp.reward.data() + (bin * points + cur) * points;
         for (std::size_t a = 0; a < points; ++a) {
           const double cost = util::min_max_norm(drc.drc(cur, a), 0.0, drc_hi);
           double reward = p_rc * (1.0 - energy_norm[a]) + (1.0 - p_rc) * (1.0 - cost);
@@ -162,29 +158,43 @@ MdpTable build_mdp_table(const dse::DesignDb& db, const DrcMatrix& drc,
           if (!db.point(a).feasible_for(center)) reward -= 1.0;
           // Fault hazard: expected evacuation cost before the next decision.
           reward -= hazard[a] * evac_norm[a];
-          mdp.reward[s * points + a] = reward;
-          mdp.row_of[s * points + a] = static_cast<std::uint32_t>(bin * points + a);
+          out[a] = reward;
         }
       }
     }
   }
   mdp.validate();
+  return mdp;
+}
+
+MdpTable build_mdp_table(const dse::DesignDb& db, const DrcMatrix& drc,
+                         const dse::MetricRanges& ranges, double p_rc,
+                         const QosProcessParams& qos, const flt::FaultParams& faults,
+                         const MdpPolicyParams& params) {
+  CLR_TRACE_SPAN(span, trace::Category::Runtime, "rt.mdp_plan");
+  const FactoredMdp mdp = build_mdp_model(db, drc, ranges, p_rc, qos, faults, params);
 
   ValueIterationOptions opts;
   opts.gamma = params.gamma;
   opts.tolerance = params.tolerance;
   opts.max_sweeps = params.max_sweeps;
   MdpSolution sol = solve_value_iteration(mdp, opts);
+  if (span.active()) {
+    span.arg({"points", mdp.num_actions});
+    span.arg({"bins", mdp.num_bins});
+    span.arg({"sweeps", sol.iterations});
+    span.arg({"converged", sol.converged});
+  }
   if (!sol.converged) {
     // Slow contraction (gamma near 1): Howard policy iteration terminates in
     // finitely many exact evaluation/improvement rounds instead.
-    sol = solve_policy_iteration(mdp, params.gamma);
+    sol = solve_policy_iteration(mdp.expand(), params.gamma);
   }
 
   MdpTable table;
   table.makespan_bins = static_cast<std::uint32_t>(params.makespan_bins);
   table.func_rel_bins = static_cast<std::uint32_t>(params.func_rel_bins);
-  table.num_points = points;
+  table.num_points = mdp.num_actions;
   table.gamma = params.gamma;
   table.p_rc = p_rc;
   table.ranges = ranges;

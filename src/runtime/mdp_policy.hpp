@@ -23,6 +23,7 @@
 #include "dse/design_db.hpp"
 #include "faults/fault_model.hpp"
 #include "runtime/drc_matrix.hpp"
+#include "runtime/mdp.hpp"
 #include "runtime/policy.hpp"
 #include "runtime/qos_process.hpp"
 
@@ -66,6 +67,14 @@ struct MdpTable {
 
   bool operator==(const MdpTable&) const = default;
 };
+
+/// The planning MDP of build_mdp_table, in factored form (runtime/mdp.hpp):
+/// the AR(1) bin kernel and the dense per-(state, action) reward. Same
+/// validation and throws as build_mdp_table.
+FactoredMdp build_mdp_model(const dse::DesignDb& db, const DrcMatrix& drc,
+                            const dse::MetricRanges& ranges, double p_rc,
+                            const QosProcessParams& qos, const flt::FaultParams& faults,
+                            const MdpPolicyParams& params = {});
 
 /// Build + solve the tabular policy offline. Deterministic (no RNG): the
 /// kernel integrates the AR(1) step distribution analytically. Throws

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
+
+#include "common/parallel.hpp"
+#include "faults/fault_model.hpp"
 
 namespace clr::exp {
 namespace {
@@ -221,6 +226,159 @@ TEST(Runner, DrcMatrixBuiltOncePerDatabase) {
   runner.run();
   EXPECT_EQ(runner.metrics().counter("runner.drc_builds").value(), 1u);
   EXPECT_EQ(runner.metrics().counter("runner.drc_cache_hits").value(), 2u);
+}
+
+/// `n` random decoded configurations of `app`, evaluated — a real database
+/// without running the design-time flow.
+dse::DesignDb random_db(const AppInstance& app, std::size_t n, std::uint64_t seed) {
+  dse::MappingProblem problem(app.context(), dse::QosSpec{1e18, 0.0},
+                              dse::ObjectiveMode::EnergyQos);
+  util::Rng rng(seed);
+  dse::DesignDb db;
+  while (db.size() < n) {
+    dse::DesignPoint p;
+    p.config = problem.decode(problem.random_genes(rng));
+    const auto res = problem.evaluate_schedule(p.config);
+    p.makespan = res.makespan;
+    p.func_rel = res.func_rel;
+    p.energy = res.energy;
+    db.add(p);
+  }
+  return db;
+}
+
+void expect_same_run(const rt::RuntimeStats& a, const rt::RuntimeStats& b,
+                     const std::string& what) {
+  EXPECT_EQ(a.total_cycles, b.total_cycles) << what;
+  EXPECT_EQ(a.num_events, b.num_events) << what;
+  EXPECT_EQ(a.num_reconfigs, b.num_reconfigs) << what;
+  EXPECT_EQ(a.num_infeasible_events, b.num_infeasible_events) << what;
+  EXPECT_EQ(a.avg_energy, b.avg_energy) << what;
+  EXPECT_EQ(a.total_reconfig_cost, b.total_reconfig_cost) << what;
+  EXPECT_EQ(a.avg_reconfig_cost, b.avg_reconfig_cost) << what;
+  EXPECT_EQ(a.max_drc, b.max_drc) << what;
+  EXPECT_EQ(a.qos_violation_time, b.qos_violation_time) << what;
+  EXPECT_EQ(a.num_transient_faults, b.num_transient_faults) << what;
+  EXPECT_EQ(a.num_recovered_transients, b.num_recovered_transients) << what;
+  EXPECT_EQ(a.num_unrecovered_failures, b.num_unrecovered_failures) << what;
+  EXPECT_EQ(a.num_permanent_faults, b.num_permanent_faults) << what;
+  EXPECT_EQ(a.num_evacuations, b.num_evacuations) << what;
+  EXPECT_EQ(a.num_safe_mode_entries, b.num_safe_mode_entries) << what;
+  EXPECT_EQ(a.downtime, b.downtime) << what;
+  EXPECT_EQ(a.availability, b.availability) << what;
+  EXPECT_EQ(a.mttr, b.mttr) << what;
+  EXPECT_EQ(a.reconfig_stall_time, b.reconfig_stall_time) << what;
+  EXPECT_EQ(a.prefetch_hidden_time, b.prefetch_hidden_time) << what;
+  EXPECT_EQ(a.prefetch_hits, b.prefetch_hits) << what;
+  EXPECT_EQ(a.prefetch_misses, b.prefetch_misses) << what;
+  EXPECT_EQ(a.service_availability, b.service_availability) << what;
+  EXPECT_EQ(a.trace.size(), b.trace.size()) << what;
+}
+
+/// One app cell over a random database with transient and wear-out faults
+/// and no explicit fault profiles.
+struct AppGrid {
+  std::unique_ptr<AppInstance> app = make_synthetic_app(8, 4242);
+  dse::DesignDb db = random_db(*app, 7, 17);
+  dse::MetricRanges ranges = db.ranges();
+
+  RunnerCell cell(PolicyKind kind) const {
+    RunnerCell c;
+    c.app = app.get();
+    c.db = &db;
+    c.ranges = ranges;
+    c.params.kind = kind;
+    c.params.p_rc = 0.5;
+    c.params.sim.total_cycles = 2e4;
+    c.params.faults.transient_rate = 2e-4;
+    c.params.faults.pe_mtbf = 4e4;
+    c.seed = 99;
+    return c;
+  }
+};
+
+TEST(Runner, MdpCellPlansOnceAndMatchesIndependentEvaluations) {
+  const AppGrid grid;
+  RunnerCell cell = grid.cell(PolicyKind::Mdp);
+  cell.params.prefetch = true;
+  Runner runner(RunnerConfig{.replications = 4, .jobs = 2, .keep_runs = true});
+  runner.add_cell(cell);
+  const auto results = runner.run();
+  EXPECT_EQ(runner.metrics().counter("runner.mdp_plans").value(), 1u);
+  ASSERT_EQ(results[0].runs.size(), 4u);
+  for (std::size_t r = 0; r < 4; ++r) {
+    const rt::RuntimeStats ref = evaluate_policy(*grid.app, grid.db, grid.ranges, cell.params,
+                                                 replication_seed(cell.seed, r));
+    expect_same_run(results[0].runs[r], ref, "rep " + std::to_string(r));
+  }
+}
+
+TEST(Runner, NonMdpCellsNeverPlan) {
+  const AppGrid grid;
+  Runner runner(RunnerConfig{.replications = 2, .jobs = 1});
+  runner.add_cell(grid.cell(PolicyKind::Ura));
+  runner.add_cell(grid.cell(PolicyKind::Baseline));
+  runner.run();
+  EXPECT_EQ(runner.metrics().counter("runner.mdp_plans").value(), 0u);
+}
+
+TEST(Runner, FaultCellDerivesPlatformProfilesLikeEvaluatePolicy) {
+  const AppGrid grid;
+  // Non-vacuous: the platform's profiles are not the uniform defaults.
+  const auto platform_profiles = flt::profiles_from_platform(grid.app->platform());
+  const bool heterogeneous =
+      std::any_of(platform_profiles.begin(), platform_profiles.end(), [](const auto& p) {
+        return p.ser_scale != flt::PeFaultProfile{}.ser_scale ||
+               p.weibull_shape != flt::PeFaultProfile{}.weibull_shape;
+      });
+  ASSERT_TRUE(heterogeneous);
+
+  const RunnerCell cell = grid.cell(PolicyKind::Ura);
+  Runner runner(RunnerConfig{.replications = 3, .jobs = 2, .keep_runs = true});
+  runner.add_cell(cell);
+  const auto results = runner.run();
+  std::size_t transients = 0;
+  for (std::size_t r = 0; r < 3; ++r) {
+    const rt::RuntimeStats ref = evaluate_policy(*grid.app, grid.db, grid.ranges, cell.params,
+                                                 replication_seed(cell.seed, r));
+    expect_same_run(results[0].runs[r], ref, "rep " + std::to_string(r));
+    transients += ref.num_transient_faults;
+  }
+  EXPECT_GT(transients, 0u);  // the profiles actually shaped injected faults
+
+  // The hash covers the profiles actually used: deriving them equals passing
+  // them explicitly, and different profiles fence a checkpoint.
+  RunnerCell explicit_profiles = cell;
+  explicit_profiles.params.fault_profiles = platform_profiles;
+  Runner same(RunnerConfig{.replications = 3});
+  same.add_cell(explicit_profiles);
+  EXPECT_EQ(runner.grid_hash(), same.grid_hash());
+  RunnerCell uniform = cell;
+  uniform.params.fault_profiles.assign(platform_profiles.size(), flt::PeFaultProfile{});
+  Runner other(RunnerConfig{.replications = 3});
+  other.add_cell(uniform);
+  EXPECT_NE(runner.grid_hash(), other.grid_hash());
+}
+
+TEST(DrcMatrix, MaxDrcIsTheLargestEntryForEveryConstructor) {
+  const AppGrid grid;
+  const recfg::ReconfigModel model(grid.app->platform(), grid.app->impls());
+  util::ThreadPool pool(2);
+  const rt::DrcMatrix sequential(grid.db, model);
+  const rt::DrcMatrix parallel(grid.db, model, &pool);
+  const std::size_t n = grid.db.size();
+  std::vector<double> costs;
+  double largest = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      costs.push_back(sequential.drc(i, j));
+      largest = std::max(largest, sequential.drc(i, j));
+    }
+  }
+  ASSERT_GT(largest, 0.0);
+  EXPECT_EQ(sequential.max_drc(), largest);
+  EXPECT_EQ(parallel.max_drc(), largest);
+  EXPECT_EQ(rt::DrcMatrix(n, costs).max_drc(), largest);
 }
 
 TEST(GridReport, ContainsCellsAndSummaries) {

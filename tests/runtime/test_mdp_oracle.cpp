@@ -16,7 +16,10 @@
 //   - the converged Bellman residual is independently recomputed and checked
 //     against the solver's tolerance;
 //   - Gauss-Seidel sweep order (Forward vs Reverse) must not change the
-//     fixed point reached.
+//     fixed point reached;
+//   - the factored solver (FactoredMdp) must reproduce the generic solver
+//     on its expand()ed MDP bit for bit, on random factored instances and on
+//     the planning MDPs build_mdp_model derives from random databases.
 //
 // Rewards are continuous uniform draws, so distinct policies are separated
 // by gaps many orders of magnitude above double rounding — exact ties that
@@ -25,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -32,6 +36,7 @@
 
 #include "common/rng.hpp"
 #include "runtime/mdp.hpp"
+#include "runtime/mdp_policy.hpp"
 
 namespace clr::rt {
 namespace {
@@ -294,6 +299,241 @@ TEST(MdpOracle, ValidateRejectsStructurallyBrokenInstances) {
   Mdp wrong_sizes = good;
   wrong_sizes.reward.pop_back();
   EXPECT_THROW(wrong_sizes.validate(), std::invalid_argument);
+}
+
+// --- Factored solver vs generic solver ---
+
+/// Bit-level equality of two solutions, so -0.0 vs 0.0 and NaN payloads
+/// count as differences too.
+void expect_bit_identical(const MdpSolution& factored, const MdpSolution& generic,
+                          const std::string& what) {
+  EXPECT_EQ(factored.iterations, generic.iterations) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(factored.residual),
+            std::bit_cast<std::uint64_t>(generic.residual))
+      << what;
+  EXPECT_EQ(factored.converged, generic.converged) << what;
+  EXPECT_EQ(factored.policy, generic.policy) << what;
+  ASSERT_EQ(factored.value.size(), generic.value.size()) << what;
+  std::size_t differing = 0;
+  for (std::size_t s = 0; s < factored.value.size(); ++s) {
+    differing += std::bit_cast<std::uint64_t>(factored.value[s]) !=
+                 std::bit_cast<std::uint64_t>(generic.value[s]);
+  }
+  EXPECT_EQ(differing, 0u) << what;
+}
+
+bool has_self_transition(const FactoredMdp& mdp, std::size_t bin) {
+  return std::any_of(mdp.kernel[bin].begin(), mdp.kernel[bin].end(),
+                     [&](const auto& e) { return e.first == bin; });
+}
+
+/// A random factored MDP: sparse kernel rows (each bin keeps a random subset
+/// of next bins, so some rows lack their own bin) and integer rewards in
+/// [-2, 2], so exact ties exercise the first-maximum rule.
+FactoredMdp fuzz_factored(util::Rng& rng, std::size_t bins, std::size_t actions) {
+  FactoredMdp mdp;
+  mdp.num_bins = bins;
+  mdp.num_actions = actions;
+  mdp.kernel.resize(bins);
+  for (auto& row : mdp.kernel) {
+    double sum = 0.0;
+    for (std::uint32_t nb = 0; nb < bins; ++nb) {
+      if (!rng.chance(0.6)) continue;
+      const double w = rng.uniform(0.05, 1.0);
+      row.emplace_back(nb, w);
+      sum += w;
+    }
+    if (row.empty()) {
+      row.emplace_back(static_cast<std::uint32_t>(rng.index(bins)), 1.0);
+      sum = 1.0;
+    }
+    for (auto& e : row) e.second /= sum;
+  }
+  mdp.reward.resize(mdp.num_states() * actions);
+  for (double& r : mdp.reward) r = static_cast<double>(rng.uniform_int(-2, 2));
+  mdp.validate();
+  return mdp;
+}
+
+TEST(FactoredMdp, SolverIsBitIdenticalToTheGenericSolveOfItsExpansion) {
+  util::Rng rng(31337);
+  std::size_t with_self = 0, without_self = 0;
+  for (int instance = 0; instance < 60; ++instance) {
+    const std::size_t bins = static_cast<std::size_t>(rng.uniform_int(1, 8));
+    const std::size_t actions = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    const FactoredMdp mdp = fuzz_factored(rng, bins, actions);
+    for (std::size_t b = 0; b < bins; ++b) {
+      (has_self_transition(mdp, b) ? with_self : without_self)++;
+    }
+    const Mdp generic = mdp.expand();
+    generic.validate();
+    ValueIterationOptions opts;
+    opts.gamma = instance % 5 == 0 ? 0.0 : rng.uniform(0.3, 0.97);
+    opts.tolerance = 1e-11;
+    opts.max_sweeps = instance % 7 == 0 ? 4 : 100000;  // unconverged runs too
+    for (const SweepOrder order : {SweepOrder::Forward, SweepOrder::Reverse}) {
+      opts.order = order;
+      expect_bit_identical(solve_value_iteration(mdp, opts), solve_value_iteration(generic, opts),
+                           "instance " + std::to_string(instance));
+    }
+  }
+  // Both paths of the in-bin refresh must have been taken.
+  EXPECT_GT(with_self, 0u);
+  EXPECT_GT(without_self, 0u);
+}
+
+/// A random `points`-point database over up to four PEs, a random
+/// asymmetric dRC table, and the database's own QoS box.
+struct PlanningInstance {
+  dse::DesignDb db;
+  DrcMatrix drc{1, {0.0}};
+  dse::MetricRanges ranges;
+};
+
+PlanningInstance fuzz_planning(util::Rng& rng, std::size_t points) {
+  PlanningInstance inst;
+  for (std::size_t k = 0; k < points; ++k) {
+    dse::DesignPoint p;
+    p.makespan = rng.uniform(80.0, 120.0);
+    p.func_rel = rng.uniform(0.9, 0.99);
+    p.energy = rng.uniform(30.0, 80.0);
+    p.config.tasks.resize(3);
+    for (auto& t : p.config.tasks) t.pe = static_cast<plat::PeId>(rng.index(4));
+    p.config.tasks[0].priority = static_cast<std::int32_t>(k);  // distinct configurations
+    inst.db.add(p);
+  }
+  std::vector<double> costs(points * points, 0.0);
+  for (std::size_t i = 0; i < points; ++i) {
+    for (std::size_t j = 0; j < points; ++j) {
+      costs[i * points + j] = i == j ? 0.0 : rng.uniform(1.0, 50.0);
+    }
+  }
+  inst.drc = DrcMatrix(points, std::move(costs));
+  inst.ranges = inst.db.ranges();
+  return inst;
+}
+
+TEST(FactoredMdp, PlanningSolveIsBitIdenticalToTheGenericSolveAcrossFuzzedInstances) {
+  // The planning MDPs themselves: N in [1, 60], bin grids 1x1..6x6, pRC
+  // {0, 0.5, 1}, faults on and off, AR(1) phi {0, 0.5, 0.95}, and a tiny
+  // step sd on every fourth instance so that kernel rows concentrate on the
+  // drift target and some bins cannot stay put.
+  util::Rng rng(20261017);
+  const double prcs[] = {0.0, 0.5, 1.0};
+  const double phis[] = {0.0, 0.5, 0.95};
+  std::size_t with_self = 0, without_self = 0;
+  for (int instance = 0; instance < 54; ++instance) {
+    std::size_t points = static_cast<std::size_t>(rng.uniform_int(1, 60));
+    MdpPolicyParams params;
+    params.makespan_bins = static_cast<std::size_t>(rng.uniform_int(1, 6));
+    params.func_rel_bins = static_cast<std::size_t>(rng.uniform_int(1, 6));
+    if (instance == 0) {
+      points = 1;
+      params.makespan_bins = params.func_rel_bins = 1;
+    } else if (instance == 1) {
+      points = 60;
+      params.makespan_bins = params.func_rel_bins = 6;
+    }
+    const PlanningInstance inst = fuzz_planning(rng, points);
+    QosProcessParams qos;
+    qos.ar1_phi = phis[(instance / 3) % 3];
+    if (instance % 4 == 3) qos.makespan_sd_frac = qos.func_rel_sd_frac = 1e-6;
+    flt::FaultParams faults;
+    if ((instance / 2) % 2 == 1) {
+      faults.transient_rate = 1e-4;
+      faults.pe_mtbf = 1e5;
+    }
+    const FactoredMdp mdp = build_mdp_model(inst.db, inst.drc, inst.ranges,
+                                            prcs[instance % 3], qos, faults, params);
+    ASSERT_EQ(mdp.num_actions, points);
+    ASSERT_EQ(mdp.num_bins, params.makespan_bins * params.func_rel_bins);
+    for (std::size_t b = 0; b < mdp.num_bins; ++b) {
+      (has_self_transition(mdp, b) ? with_self : without_self)++;
+    }
+    const Mdp generic = mdp.expand();
+    generic.validate();
+    ValueIterationOptions opts;
+    opts.gamma = params.gamma;
+    opts.tolerance = params.tolerance;
+    // The generic reference costs B²·N² per sweep: keep the suite fast by
+    // capping the sweeps of the largest instances (unconverged solves must
+    // match bit for bit as well).
+    const std::size_t work = mdp.num_bins * mdp.num_bins * points * points;
+    if (work > 200000) opts.max_sweeps = 20;
+    const std::string what = "instance " + std::to_string(instance) + " (N=" +
+                             std::to_string(points) + ", bins=" +
+                             std::to_string(params.makespan_bins) + "x" +
+                             std::to_string(params.func_rel_bins) + ")";
+    expect_bit_identical(solve_value_iteration(mdp, opts), solve_value_iteration(generic, opts),
+                         what);
+    if (instance % 6 == 0) {
+      opts.order = SweepOrder::Reverse;
+      expect_bit_identical(solve_value_iteration(mdp, opts),
+                           solve_value_iteration(generic, opts), what + " reverse");
+    }
+  }
+  EXPECT_GT(with_self, 0u);
+  EXPECT_GT(without_self, 0u);
+}
+
+TEST(FactoredMdp, PlanTableMatchesTheGenericSolveAndItsPolicyIterationFallback) {
+  util::Rng rng(8);
+  const PlanningInstance inst = fuzz_planning(rng, 12);
+  const QosProcessParams qos;
+  const flt::FaultParams faults;
+  MdpPolicyParams params;
+  params.makespan_bins = 3;
+  params.func_rel_bins = 4;
+  const Mdp generic =
+      build_mdp_model(inst.db, inst.drc, inst.ranges, 0.5, qos, faults, params).expand();
+
+  // Converged: the table is the generic value-iteration solution.
+  ValueIterationOptions opts;
+  opts.gamma = params.gamma;
+  opts.tolerance = params.tolerance;
+  opts.max_sweeps = params.max_sweeps;
+  const MdpSolution vi = solve_value_iteration(generic, opts);
+  ASSERT_TRUE(vi.converged);
+  const MdpTable table = build_mdp_table(inst.db, inst.drc, inst.ranges, 0.5, qos, faults, params);
+  EXPECT_EQ(table.policy, vi.policy);
+  EXPECT_EQ(table.values, vi.value);
+
+  // Three sweeps cannot converge: the table is Howard policy iteration's.
+  params.max_sweeps = 3;
+  opts.max_sweeps = 3;
+  const FactoredMdp model =
+      build_mdp_model(inst.db, inst.drc, inst.ranges, 0.5, qos, faults, params);
+  const MdpSolution capped = solve_value_iteration(model, opts);
+  EXPECT_FALSE(capped.converged);
+  EXPECT_EQ(capped.iterations, 3u);
+  expect_bit_identical(capped, solve_value_iteration(generic, opts), "max_sweeps = 3");
+  const MdpSolution pi = solve_policy_iteration(generic, params.gamma);
+  ASSERT_TRUE(pi.converged);
+  const MdpTable fallback =
+      build_mdp_table(inst.db, inst.drc, inst.ranges, 0.5, qos, faults, params);
+  EXPECT_EQ(fallback.policy, pi.policy);
+  EXPECT_EQ(fallback.values, pi.value);
+}
+
+TEST(FactoredMdp, ValidateRejectsStructurallyBrokenInstances) {
+  util::Rng rng(6);
+  const FactoredMdp good = fuzz_factored(rng, 3, 2);
+
+  FactoredMdp non_stochastic = good;
+  non_stochastic.kernel[0][0].second += 0.5;
+  EXPECT_THROW(non_stochastic.validate(), std::invalid_argument);
+
+  FactoredMdp bad_next = good;
+  bad_next.kernel[0][0].first = 3;
+  EXPECT_THROW(bad_next.validate(), std::invalid_argument);
+
+  FactoredMdp wrong_sizes = good;
+  wrong_sizes.reward.pop_back();
+  EXPECT_THROW(wrong_sizes.validate(), std::invalid_argument);
+
+  FactoredMdp missing_row = good;
+  missing_row.kernel.pop_back();
+  EXPECT_THROW(missing_row.validate(), std::invalid_argument);
 }
 
 }  // namespace

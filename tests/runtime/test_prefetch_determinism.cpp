@@ -15,12 +15,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "experiments/flow.hpp"
 #include "runtime/prefetch.hpp"
 #include "sim/icap.hpp"
+#include "trace/trace.hpp"
 
 namespace clr::rt {
 namespace {
@@ -294,6 +297,34 @@ TEST(MdpPolicyRuntime, SharedTableAndPerRunRebuildAreBitIdentical) {
   expect_pre_port_fields_identical(rebuilt, shared);
   EXPECT_EQ(rebuilt.reconfig_stall_time, shared.reconfig_stall_time);
   EXPECT_EQ(rebuilt.service_availability, shared.service_availability);
+}
+
+TEST(MdpPolicyRuntime, PlanRecordsOneTraceSpanWithItsShape) {
+  const dse::DesignDb db = make_db();
+  const DrcMatrix drc = make_drc();
+  exp::RuntimeEvalParams params;
+  params.mdp.makespan_bins = 2;
+  params.mdp.func_rel_bins = 3;
+  auto& tracer = trace::Tracer::instance();
+  tracer.clear();
+  tracer.enable(trace::mask_of(trace::Category::Runtime));
+  build_mdp_table(db, drc, make_ranges(), 0.5, params.qos, params.faults, params.mdp);
+  tracer.disable();
+  const auto events = tracer.collect();
+  tracer.clear();
+  std::size_t spans = 0;
+  for (const auto& ev : events) {
+    if (ev.name != "rt.mdp_plan") continue;
+    ++spans;
+    EXPECT_EQ(ev.phase, trace::Phase::Complete);
+    std::map<std::string, std::string> args;
+    for (const auto& a : ev.args) args[a.key] = a.value;
+    EXPECT_EQ(args["points"], "3");
+    EXPECT_EQ(args["bins"], "6");
+    EXPECT_EQ(args["converged"], "true");
+    EXPECT_GT(std::stoul(args["sweeps"]), 0u);
+  }
+  EXPECT_EQ(spans, 1u);
 }
 
 TEST(MdpPolicyRuntime, TableLookupRespectsFeasibilityAndStaysInRange) {
