@@ -101,8 +101,8 @@ class DesignDb {
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> index_;
 };
 
-/// Deterministic 64-bit FNV-1a over a configuration's decision variables
-/// (same idiom as moea::hash_genes; shared by the DesignDb dedup index).
+/// Deterministic 64-bit FNV-1a over the bytes of a configuration's decision
+/// variables, two 64-bit words per task (the DesignDb dedup index).
 std::uint64_t hash_configuration(const sched::Configuration& config);
 
 }  // namespace clr::dse

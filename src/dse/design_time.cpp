@@ -26,11 +26,16 @@ RedProblem::RedProblem(const MappingProblem& mapping, const recfg::ReconfigModel
 }
 
 moea::Evaluation RedProblem::evaluate(const std::vector<int>& genes) const {
-  const ScheduleMetrics res = mapping_->evaluate_metrics(genes);
+  const moea::GenomeKey key(genes);
+  return evaluation_of(key, mapping_->evaluate_metrics(key));
+}
+
+moea::Evaluation RedProblem::evaluation_of(const moea::GenomeKey& key,
+                                           const ScheduleMetrics& res) const {
   double avg_drc = 0.0;
-  if (drc_cache_ == nullptr || !drc_cache_->lookup(genes, &avg_drc)) {
-    avg_drc = reconfig_->average_drc(mapping_->decode(genes), base_configs_);
-    if (drc_cache_ != nullptr) drc_cache_->store(genes, avg_drc);
+  if (drc_cache_ == nullptr || !drc_cache_->lookup(key, &avg_drc)) {
+    avg_drc = reconfig_->average_drc(mapping_->decode_scratch(*key.genes), base_configs_);
+    if (drc_cache_ != nullptr) drc_cache_->store(key, avg_drc);
   }
 
   moea::Evaluation eval;
@@ -62,16 +67,15 @@ moea::Evaluation RedProblem::evaluate(const std::vector<int>& genes) const {
   return eval;
 }
 
-void RedProblem::evaluate_batch(std::span<moea::Individual* const> batch) const {
-  // Stage the whole batch's schedule metrics through the SoA kernel; the
-  // evaluate() calls below then hit the memo and only pay for the dRC and
-  // constraint tail, which is not scheduler-bound.
-  std::vector<const std::vector<int>*> genes;
-  genes.reserve(batch.size());
-  for (const moea::Individual* ind : batch) genes.push_back(&ind->genes);
+void RedProblem::evaluate_batch(std::span<moea::Individual* const> batch,
+                                std::span<const moea::GenomeKey> keys) const {
+  // The whole batch's schedule metrics come from the SoA kernel (or the
+  // memo); only the dRC and constraint tail runs per genome.
   std::vector<ScheduleMetrics> metrics(batch.size());
-  mapping_->evaluate_metrics_batch({genes.data(), genes.size()}, metrics.data());
-  for (moea::Individual* ind : batch) ind->eval = evaluate(ind->genes);
+  mapping_->evaluate_metrics_batch(keys, metrics.data());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i]->eval = evaluation_of(keys[i], metrics[i]);
+  }
 }
 
 DesignTimeDse::DesignTimeDse(const MappingProblem& problem, const recfg::ReconfigModel& reconfig,

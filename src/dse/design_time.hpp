@@ -90,12 +90,17 @@ class RedProblem : public moea::Problem {
   std::size_t num_objectives() const override { return 2; }
   moea::Evaluation evaluate(const std::vector<int>& genes) const override;
 
-  /// Primes the mapping problem's schedule memo through the SIMD batch
-  /// kernel, then runs the per-genome tail (dRC memo + tolerance
+  /// Takes the batch's schedule metrics from the mapping problem's SIMD
+  /// batch path, then runs the per-genome tail (dRC memo + tolerance
   /// constraints). Bit-identical to sequential evaluate() calls.
-  void evaluate_batch(std::span<moea::Individual* const> batch) const override;
+  void evaluate_batch(std::span<moea::Individual* const> batch,
+                      std::span<const moea::GenomeKey> keys) const override;
 
  private:
+  /// The objectives and constraint violation of the genome `key` whose
+  /// schedule metrics are `res`.
+  moea::Evaluation evaluation_of(const moea::GenomeKey& key, const ScheduleMetrics& res) const;
+
   const MappingProblem* mapping_;
   const recfg::ReconfigModel* reconfig_;
   std::vector<sched::Configuration> base_configs_;

@@ -21,7 +21,6 @@ struct ThreadEvalState {
   // evaluate_batch / evaluate_metrics_batch staging (reused, so the steady
   // state stays allocation-free once the vectors have grown to batch size).
   std::vector<std::size_t> miss_idx;
-  std::vector<const std::vector<int>*> gene_ptrs;
   std::vector<dse::ScheduleMetrics> metrics;
 };
 
@@ -57,28 +56,27 @@ MappingProblem::MappingProblem(const sched::EvalContext& ctx, QosSpec spec, Obje
       throw std::invalid_argument("MappingProblem: task has no runnable PE");
     }
   }
-}
 
-int MappingProblem::domain_size(std::size_t locus) const {
-  const std::size_t t = locus / 4;
-  if (t >= num_tasks_) throw std::out_of_range("MappingProblem: locus out of range");
-  switch (locus % 4) {
-    case 0:  // PE slot
-      return static_cast<int>(allowed_pes_[t].size());
-    case 1: {  // implementation slot (decoded modulo the bound PE's count)
-      std::size_t max_c = 1;
-      for (const auto& c : compat_impls_[t]) max_c = std::max(max_c, c.size());
-      return static_cast<int>(max_c);
-    }
-    case 2:  // CLR configuration
-      return static_cast<int>(ctx_->clr_space->size());
-    default:  // priority
-      return static_cast<int>(num_tasks_);
+  domain_sizes_.reserve(num_genes());
+  for (tg::TaskId t = 0; t < num_tasks_; ++t) {
+    // Implementation slot: decoded modulo the bound PE's count.
+    std::size_t max_c = 1;
+    for (const auto& c : compat_impls_[t]) max_c = std::max(max_c, c.size());
+    domain_sizes_.push_back(static_cast<int>(allowed_pes_[t].size()));  // PE slot
+    domain_sizes_.push_back(static_cast<int>(max_c));
+    domain_sizes_.push_back(static_cast<int>(ctx.clr_space->size()));  // CLR configuration
+    domain_sizes_.push_back(static_cast<int>(num_tasks_));             // priority
   }
 }
 
 sched::Configuration MappingProblem::decode(const std::vector<int>& genes) const {
   sched::Configuration cfg;
+  decode_into(genes, &cfg);
+  return cfg;
+}
+
+const sched::Configuration& MappingProblem::decode_scratch(const std::vector<int>& genes) const {
+  sched::Configuration& cfg = thread_eval_state().cfg;
   decode_into(genes, &cfg);
   return cfg;
 }
@@ -128,16 +126,16 @@ sched::ScheduleResult MappingProblem::evaluate_schedule(const sched::Configurati
   return compiled_.schedule(cfg, thread_eval_state().scratch);
 }
 
-ScheduleMetrics MappingProblem::evaluate_metrics(const std::vector<int>& genes) const {
+ScheduleMetrics MappingProblem::evaluate_metrics(const moea::GenomeKey& key) const {
   ScheduleMetrics m;
-  if (schedule_cache_.lookup(genes, &m)) return m;
+  if (schedule_cache_.lookup(key, &m)) return m;
   // Miss: decode + kernel run against the calling thread's arena. Only the
   // memo store below touches the heap.
   ThreadEvalState& state = thread_eval_state();
-  decode_into(genes, &state.cfg);
+  decode_into(*key.genes, &state.cfg);
   schedule_runs_.fetch_add(1, std::memory_order_relaxed);
   m = ScheduleMetrics::of(compiled_.evaluate(state.cfg, state.scratch));
-  schedule_cache_.store(genes, m);
+  schedule_cache_.store(key, m);
   return m;
 }
 
@@ -153,7 +151,7 @@ std::vector<double> MappingProblem::objectives_of(const ScheduleMetrics& m) cons
   throw std::logic_error("MappingProblem: unknown objective mode");
 }
 
-void MappingProblem::evaluate_metrics_batch(std::span<const std::vector<int>* const> genes,
+void MappingProblem::evaluate_metrics_batch(std::span<const moea::GenomeKey> keys,
                                             ScheduleMetrics* out) const {
   static_assert(sched::BatchGenomes::kLanes == 8,
                 "BatchEvaluator's chunk size assumes 8-lane blocks");
@@ -164,8 +162,8 @@ void MappingProblem::evaluate_metrics_batch(std::span<const std::vector<int>* co
   // block composition is fixed by miss order, and each lane's result is
   // independent of its co-lanes, so partitioning can never change bits.
   state.miss_idx.clear();
-  for (std::size_t i = 0; i < genes.size(); ++i) {
-    if (!schedule_cache_.lookup(*genes[i], &out[i])) state.miss_idx.push_back(i);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (!schedule_cache_.lookup(keys[i], &out[i])) state.miss_idx.push_back(i);
   }
 
   sched::KernelMetrics km[kL];
@@ -173,7 +171,7 @@ void MappingProblem::evaluate_metrics_batch(std::span<const std::vector<int>* co
   for (std::size_t base = 0; base < state.miss_idx.size(); base += kL) {
     const std::size_t lanes = std::min(kL, state.miss_idx.size() - base);
     for (std::size_t l = 0; l < lanes; ++l) {
-      decode_into(*genes[state.miss_idx[base + l]], &state.cfg);
+      decode_into(*keys[state.miss_idx[base + l]].genes, &state.cfg);
       state.batch_scratch.genomes.set(l, state.cfg);
     }
     schedule_runs_.fetch_add(lanes, std::memory_order_relaxed);
@@ -181,17 +179,16 @@ void MappingProblem::evaluate_metrics_batch(std::span<const std::vector<int>* co
     for (std::size_t l = 0; l < lanes; ++l) {
       const std::size_t i = state.miss_idx[base + l];
       out[i] = ScheduleMetrics::of(km[l]);
-      schedule_cache_.store(*genes[i], out[i]);
+      schedule_cache_.store(keys[i], out[i]);
     }
   }
 }
 
-void MappingProblem::evaluate_batch(std::span<moea::Individual* const> batch) const {
+void MappingProblem::evaluate_batch(std::span<moea::Individual* const> batch,
+                                    std::span<const moea::GenomeKey> keys) const {
   ThreadEvalState& state = thread_eval_state();
-  state.gene_ptrs.clear();
-  for (const moea::Individual* ind : batch) state.gene_ptrs.push_back(&ind->genes);
   state.metrics.resize(batch.size());
-  evaluate_metrics_batch({state.gene_ptrs.data(), state.gene_ptrs.size()}, state.metrics.data());
+  evaluate_metrics_batch(keys, state.metrics.data());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     batch[i]->eval = evaluation_of(state.metrics[i]);
   }

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "moea/eval_cache.hpp"
@@ -71,7 +72,10 @@ class MappingProblem : public moea::Problem {
                  std::vector<plat::PeId> excluded_pes = {});
 
   std::size_t num_genes() const override { return 4 * num_tasks_; }
-  int domain_size(std::size_t locus) const override;
+  int domain_size(std::size_t locus) const override {
+    if (locus >= domain_sizes_.size()) throw std::out_of_range("MappingProblem: locus out of range");
+    return domain_sizes_[locus];
+  }
   std::size_t num_objectives() const override {
     return mode_ == ObjectiveMode::EnergyQos ? 3 : 2;  // CspQos/EnergyLifetime: 2
   }
@@ -79,17 +83,17 @@ class MappingProblem : public moea::Problem {
 
   /// Batched evaluation (DESIGN.md §5.10): resolves schedule-cache hits,
   /// then decodes the misses into SoA blocks and runs them through
-  /// CompiledGraph::evaluate_batch. Bit-identical to per-genome evaluate()
+  /// CompiledGraph::evaluate_block. Bit-identical to per-genome evaluate()
   /// at any batch size/partitioning.
-  void evaluate_batch(std::span<moea::Individual* const> batch) const override;
+  void evaluate_batch(std::span<moea::Individual* const> batch,
+                      std::span<const moea::GenomeKey> keys) const override;
 
-  /// Batched evaluate_metrics: out[i] receives evaluate_metrics(*genes[i]),
+  /// Batched evaluate_metrics: out[i] receives evaluate_metrics(keys[i]),
   /// with cache misses evaluated in SoA blocks through the SIMD kernel.
   /// Bit-identical to the scalar path; duplicate genomes within one call may
   /// each count as a schedule run (the scalar sequence would memo-hit the
   /// second), so callers wanting exact run counts should dedup first.
-  void evaluate_metrics_batch(std::span<const std::vector<int>* const> genes,
-                              ScheduleMetrics* out) const;
+  void evaluate_metrics_batch(std::span<const moea::GenomeKey> keys, ScheduleMetrics* out) const;
 
   /// Decode a chromosome into a concrete configuration (always valid:
   /// PE/implementation compatibility is guaranteed by construction).
@@ -98,6 +102,12 @@ class MappingProblem : public moea::Problem {
   /// decode() into caller-owned storage — allocation-free once `out` is warm
   /// for this problem's task count (the steady-state evaluation path).
   void decode_into(const std::vector<int>& genes, sched::Configuration* out) const;
+
+  /// decode() into the calling thread's scratch configuration, shared with
+  /// the evaluation path: allocation-free once warm. The reference stays
+  /// valid until this thread's next decode_scratch() or schedule-cache miss
+  /// on any MappingProblem.
+  const sched::Configuration& decode_scratch(const std::vector<int>& genes) const;
 
   /// Inverse of decode (used to seed the ReD stage from BaseD points).
   /// Throws std::invalid_argument when cfg uses a (pe, impl) pair that the
@@ -112,7 +122,10 @@ class MappingProblem : public moea::Problem {
   /// the ListScheduler at most once across the whole design-time flow —
   /// BaseD generations, every ReD run and DesignTimeDse::make_point all
   /// share this cache. Thread-safe.
-  ScheduleMetrics evaluate_metrics(const std::vector<int>& genes) const;
+  ScheduleMetrics evaluate_metrics(const moea::GenomeKey& key) const;
+  ScheduleMetrics evaluate_metrics(const std::vector<int>& genes) const {
+    return evaluate_metrics(moea::GenomeKey(genes));
+  }
 
   const sched::EvalContext& context() const { return *ctx_; }
 
@@ -151,6 +164,8 @@ class MappingProblem : public moea::Problem {
   std::vector<std::vector<plat::PeId>> allowed_pes_;
   /// Per task / per allowed-PE slot: compatible implementation indices.
   std::vector<std::vector<std::vector<std::size_t>>> compat_impls_;
+  /// domain_size() of every locus, fixed at construction.
+  std::vector<int> domain_sizes_;
   mutable moea::GenomeCache<ScheduleMetrics> schedule_cache_{1 << 16};
   mutable std::atomic<std::uint64_t> schedule_runs_{0};
 };

@@ -6,37 +6,27 @@
 
 namespace clr::moea {
 
-std::uint64_t hash_genes(const std::vector<int>& genes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  for (int g : genes) {
-    auto word = static_cast<std::uint64_t>(static_cast<std::uint32_t>(g));
-    for (int byte = 0; byte < 4; ++byte) {
-      h ^= (word >> (8 * byte)) & 0xffULL;
-      h *= 0x100000001b3ULL;  // FNV-1a prime
-    }
-  }
-  return h;
-}
-
 void BatchEvaluator::evaluate(const std::vector<Individual*>& batch) const {
-  // Resolve cache hits and collapse within-batch duplicates; only the first
-  // occurrence of each distinct genome is evaluated.
+  // Hash every genome once; the key serves the cache lookup, the in-batch
+  // dedup below, the problem's own memos and the final store. Resolve cache
+  // hits and collapse within-batch duplicates; only the first occurrence of
+  // each distinct genome is evaluated.
   std::vector<Individual*> unique;
+  std::vector<GenomeKey> keys;  // keys[i] belongs to unique[i]
   std::vector<std::pair<Individual*, Individual*>> copies;  // (dup, source)
   unique.reserve(batch.size());
+  keys.reserve(batch.size());
   {
-    struct GenesHash {
-      std::size_t operator()(const std::vector<int>& g) const {
-        return static_cast<std::size_t>(hash_genes(g));
-      }
-    };
-    std::unordered_map<std::vector<int>, Individual*, GenesHash> seen;
+    // Keyed by non-owning GenomeKeys: the batch's gene vectors outlive it.
+    std::unordered_map<GenomeKey, Individual*, GenomeKeyHash> seen;
     seen.reserve(batch.size());
     for (Individual* ind : batch) {
-      if (cache_ != nullptr && cache_->lookup(ind->genes, &ind->eval)) continue;
-      const auto [it, inserted] = seen.try_emplace(ind->genes, ind);
+      const GenomeKey key(ind->genes);
+      if (cache_ != nullptr && cache_->lookup(key, &ind->eval)) continue;
+      const auto [it, inserted] = seen.try_emplace(key, ind);
       if (inserted) {
         unique.push_back(ind);
+        keys.push_back(key);
       } else {
         copies.emplace_back(ind, it->second);
       }
@@ -56,21 +46,21 @@ void BatchEvaluator::evaluate(const std::vector<Individual*>& batch) const {
       pool_->parallel_for(chunks, [&](std::size_t c) {
         const std::size_t begin = c * kChunk;
         const std::size_t count = std::min(kChunk, unique.size() - begin);
-        problem_->evaluate_batch({unique.data() + begin, count});
+        problem_->evaluate_batch({unique.data() + begin, count}, {keys.data() + begin, count});
       });
     } else {
       pool_->parallel_for(
           unique.size(), [&](std::size_t i) { unique[i]->eval = problem_->evaluate(unique[i]->genes); });
     }
   } else if (batched_) {
-    problem_->evaluate_batch({unique.data(), unique.size()});
+    problem_->evaluate_batch({unique.data(), unique.size()}, {keys.data(), keys.size()});
   } else {
     for (Individual* ind : unique) ind->eval = problem_->evaluate(ind->genes);
   }
 
   for (auto& [dup, source] : copies) dup->eval = source->eval;
   if (cache_ != nullptr) {
-    for (const Individual* ind : unique) cache_->store(ind->genes, ind->eval);
+    for (std::size_t i = 0; i < unique.size(); ++i) cache_->store(keys[i], unique[i]->eval);
   }
 }
 

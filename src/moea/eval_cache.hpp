@@ -12,6 +12,8 @@
 // its oldest entries (FIFO) once it reaches capacity / kShards entries.
 // Lookups compare the full gene vector, never the hash alone, so a hash
 // collision degrades to a miss instead of returning a wrong evaluation.
+// Each entry stores its gene vector once (the map key); the FIFO order
+// points at that key instead of copying it.
 
 #include <array>
 #include <atomic>
@@ -21,6 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "moea/genome_key.hpp"
 #include "moea/individual.hpp"
 #include "moea/problem.hpp"
 
@@ -30,13 +33,12 @@ class ThreadPool;
 
 namespace clr::moea {
 
-/// 64-bit FNV-1a over the gene words — deterministic across runs and
-/// platforms (feeds the cache-key scheme documented in DESIGN.md).
-std::uint64_t hash_genes(const std::vector<int>& genes);
-
 /// Bounded, sharded, thread-safe memo table: chromosome -> payload.
 /// Generic over the payload so the DSE layer can reuse it for schedule
 /// results and reconfiguration costs (see MappingProblem / DesignTimeDse).
+/// Every operation takes a GenomeKey, so the genome's hash is computed by
+/// the caller once and reused for the shard pick and the bucket pick; the
+/// std::vector overloads hash on the spot.
 template <typename Value>
 class GenomeCache {
  public:
@@ -45,11 +47,11 @@ class GenomeCache {
     if (shard_capacity_ == 0) shard_capacity_ = 1;
   }
 
-  /// Copy the cached payload for `genes` into *out. Returns false on miss.
-  bool lookup(const std::vector<int>& genes, Value* out) const {
-    Shard& shard = shard_for(genes);
+  /// Copy the cached payload for `key` into *out. Returns false on miss.
+  bool lookup(const GenomeKey& key, Value* out) const {
+    Shard& shard = shard_for(key.hash);
     std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(genes);
+    const auto it = shard.map.find(key);
     if (it == shard.map.end()) {
       misses_.fetch_add(1, std::memory_order_relaxed);
       return false;
@@ -58,24 +60,30 @@ class GenomeCache {
     *out = it->second;
     return true;
   }
+  bool lookup(const std::vector<int>& genes, Value* out) const {
+    return lookup(GenomeKey(genes), out);
+  }
 
-  /// Insert (or overwrite) the payload for `genes`, evicting the shard's
-  /// oldest entry when it is full.
-  void store(const std::vector<int>& genes, const Value& value) {
-    Shard& shard = shard_for(genes);
+  /// Insert (or overwrite) the payload for `key`, evicting the shard's
+  /// oldest entry when it is full. The gene vector is copied once, into the
+  /// map's key; the FIFO order refers to that key.
+  void store(const GenomeKey& key, const Value& value) {
+    Shard& shard = shard_for(key.hash);
     std::lock_guard<std::mutex> lock(shard.mu);
-    const auto [it, inserted] = shard.map.try_emplace(genes, value);
-    if (!inserted) {
+    const auto it = shard.map.find(key);
+    if (it != shard.map.end()) {
       it->second = value;
       return;
     }
-    shard.order.push_back(genes);
+    const auto inserted = shard.map.emplace(StoredKey{*key.genes, key.hash}, value).first;
+    shard.order.push_back(&inserted->first);
     while (shard.map.size() > shard_capacity_) {
-      shard.map.erase(shard.order.front());
+      shard.map.erase(shard.map.find(*shard.order.front()));
       shard.order.pop_front();
       evictions_.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  void store(const std::vector<int>& genes, const Value& value) { store(GenomeKey(genes), value); }
 
   std::size_t size() const {
     std::size_t total = 0;
@@ -107,23 +115,42 @@ class GenomeCache {
   }
 
  private:
-  struct GenesHash {
-    std::size_t operator()(const std::vector<int>& g) const {
-      return static_cast<std::size_t>(hash_genes(g));
+  /// The one owned copy of a cached genome, with its hash.
+  struct StoredKey {
+    std::vector<int> genes;
+    std::uint64_t hash;
+  };
+  // Transparent hash/equality: a GenomeKey probes the map without copying
+  // its genes. Equality is on the full gene vector, never the hash alone.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(const StoredKey& k) const noexcept { return k.hash; }
+    std::size_t operator()(const GenomeKey& k) const noexcept { return k.hash; }
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(const StoredKey& a, const StoredKey& b) const {
+      return &a == &b || (a.hash == b.hash && a.genes == b.genes);
     }
+    bool operator()(const GenomeKey& a, const StoredKey& b) const {
+      return a.hash == b.hash && *a.genes == b.genes;
+    }
+    bool operator()(const StoredKey& a, const GenomeKey& b) const { return (*this)(b, a); }
   };
 
   static constexpr std::size_t kShards = 16;
 
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<std::vector<int>, Value, GenesHash> map;
-    std::deque<std::vector<int>> order;  ///< insertion order for FIFO eviction
+    std::unordered_map<StoredKey, Value, KeyHash, KeyEq> map;
+    /// Insertion order for FIFO eviction: pointers to the map's own keys
+    /// (node-based, so they stay valid across rehashes until erased).
+    std::deque<const StoredKey*> order;
   };
 
-  Shard& shard_for(const std::vector<int>& genes) const {
+  Shard& shard_for(std::uint64_t hash) const {
     // Use the high bits for shard selection; the map consumes the low bits.
-    return shards_[(hash_genes(genes) >> 48) % kShards];
+    return shards_[(hash >> 48) % kShards];
   }
 
   mutable std::array<Shard, kShards> shards_;

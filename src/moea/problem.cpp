@@ -4,7 +4,8 @@
 
 namespace clr::moea {
 
-void Problem::evaluate_batch(std::span<Individual* const> batch) const {
+void Problem::evaluate_batch(std::span<Individual* const> batch,
+                             std::span<const GenomeKey> /*keys*/) const {
   for (Individual* ind : batch) ind->eval = evaluate(ind->genes);
 }
 

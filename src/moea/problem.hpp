@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "moea/genome_key.hpp"
 #include "moea/individual.hpp"
 
 namespace clr::moea {
@@ -27,12 +28,15 @@ class Problem {
   /// Evaluate a chromosome. Must be deterministic.
   virtual Evaluation evaluate(const std::vector<int>& genes) const = 0;
 
-  /// Evaluate a batch, filling ind->eval for every individual. Semantically
-  /// identical to calling evaluate() per individual — the default does
-  /// exactly that; problems with a vectorized kernel override it
-  /// (dse::MappingProblem routes through CompiledGraph::evaluate_batch).
-  /// Results must not depend on how callers partition work into batches.
-  virtual void evaluate_batch(std::span<Individual* const> batch) const;
+  /// Evaluate a batch, filling ind->eval for every individual. `keys[i]` is
+  /// the GenomeKey of batch[i]->genes, hashed once by the caller so
+  /// genome-keyed memos need not hash again. Semantically identical to
+  /// calling evaluate() per individual — the default does exactly that;
+  /// problems with a vectorized kernel override it (dse::MappingProblem
+  /// routes through CompiledGraph::evaluate_block). Results must not depend
+  /// on how callers partition work into batches.
+  virtual void evaluate_batch(std::span<Individual* const> batch,
+                              std::span<const GenomeKey> keys) const;
 
   /// Uniform-random chromosome within the domains.
   std::vector<int> random_genes(util::Rng& rng) const;

@@ -8,6 +8,10 @@
 //
 // dRC(a, b) is the total cost of reconfiguring from configuration a to b.
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "reliability/implementation.hpp"
 #include "schedule/configuration.hpp"
 
@@ -23,14 +27,19 @@ struct ReconfigCost {
   double total() const { return migration + bitstream; }
 };
 
-/// Deterministic dRC evaluation.
+/// Deterministic dRC evaluation, compiled at construction into flat tables:
+/// one migration term per (task, from-PE, to-PE, target implementation) and
+/// one bitstream term per target PE. A cost is then a walk over the tasks
+/// that adds table entries in task order (DESIGN.md §5.6 "Memoization").
+/// The platform and implementation set are read only by the constructor.
 class ReconfigModel {
  public:
-  ReconfigModel(const plat::Platform& platform, const rel::ImplementationSet& impls)
-      : platform_(&platform), impls_(&impls) {}
+  ReconfigModel(const plat::Platform& platform, const rel::ImplementationSet& impls);
 
   /// Cost breakdown of switching from `from` to `to`.
-  /// dRC(x, x) is always zero.
+  /// dRC(x, x) is always zero. Throws std::invalid_argument when the sizes
+  /// differ, std::out_of_range when a changed task names an unknown PE or
+  /// implementation.
   ReconfigCost cost(const sched::Configuration& from, const sched::Configuration& to) const;
 
   /// Convenience: total dRC.
@@ -38,14 +47,29 @@ class ReconfigModel {
     return cost(from, to).total();
   }
 
+  /// out[k] = drc(from, *targets[k]) for every target, bit for bit, in one
+  /// task-major pass over all targets. Same exceptions as cost().
+  void drc_row(const sched::Configuration& from,
+               std::span<const sched::Configuration* const> targets, double* out) const;
+
   /// Average dRC from `from` to every configuration in `targets` — the
-  /// secondary objective of the ReD stage (§4.2.1).
+  /// secondary objective of the ReD stage (§4.2.1). The per-target totals
+  /// are summed in target order.
   double average_drc(const sched::Configuration& from,
                      const std::vector<sched::Configuration>& targets) const;
 
  private:
-  const plat::Platform* platform_;
-  const rel::ImplementationSet* impls_;
+  /// Migration terms of task `t` leaving PE `from_pe`, indexed
+  /// [to_pe * impls + impl]; nullptr when `t` or `from_pe` is unknown.
+  const double* migration_row(std::size_t t, plat::PeId from_pe) const;
+  std::size_t impls_of(std::size_t t) const { return t < task_impls_.size() ? task_impls_[t] : 0; }
+
+  std::size_t num_pes_ = 0;
+  std::vector<std::size_t> task_offset_;  ///< per task: start of its [from][to][impl] block
+  std::vector<std::size_t> task_impls_;   ///< per task: implementation count
+  std::vector<double> migration_;
+  std::vector<double> bitstream_;  ///< per target PE; +0.0 when it hosts no PRR
+  std::vector<std::uint8_t> prr_;  ///< per target PE: hosted in a PRR
 };
 
 }  // namespace clr::recfg

@@ -43,11 +43,13 @@ DrcMatrix::DrcMatrix(const dse::DesignDb& db, const recfg::ReconfigModel& model,
     : n_(db.size()), costs_(db.size() * db.size(), 0.0) {
   CLR_TRACE_SPAN(build_span, trace::Category::Drc, "drc.build",
                  {{"points", n_}, {"parallel", pool != nullptr}});
+  // One ReconfigModel::drc_row pass per row; the diagonal comes out as
+  // dRC(x, x) = +0.0, the value the table is initialized with.
+  std::vector<const sched::Configuration*> configs;
+  configs.reserve(n_);
+  for (const auto& p : db.points()) configs.push_back(&p.config);
   const auto fill_row = [&](std::size_t i) {
-    for (std::size_t j = 0; j < n_; ++j) {
-      if (i == j) continue;
-      costs_[i * n_ + j] = model.drc(db.point(i).config, db.point(j).config);
-    }
+    model.drc_row(*configs[i], configs, costs_.data() + i * n_);
   };
   if (pool != nullptr) {
     pool->parallel_for(n_, fill_row);

@@ -19,10 +19,10 @@ class DrcMatrix {
  public:
   DrcMatrix(const dse::DesignDb& db, const recfg::ReconfigModel& model);
 
-  /// Same table, with the O(n²) ReconfigModel::drc evaluations fanned out
-  /// over `pool` (row-parallel; the model is stateless-const, each row writes
-  /// only its own slice). nullptr builds sequentially. Bit-for-bit identical
-  /// to the sequential constructor at any thread count.
+  /// Same table, with the n ReconfigModel::drc_row passes fanned out over
+  /// `pool` (row-parallel; the model is const, each row writes only its own
+  /// slice). nullptr builds sequentially. Bit-for-bit identical to the
+  /// sequential constructor at any thread count.
   DrcMatrix(const dse::DesignDb& db, const recfg::ReconfigModel& model, util::ThreadPool* pool);
 
   /// Build from an explicit row-major n x n cost table (tests, what-if

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "dse/mapping_problem.hpp"
 #include "experiments/app.hpp"
 #include "experiments/flow.hpp"
@@ -63,6 +65,68 @@ TEST_F(GoldenSchedule, Table2BundleOfTaskZeroIsExact) {
   EXPECT_DOUBLE_EQ(m.mttf, 2293827.8216240308);
   EXPECT_DOUBLE_EQ(m.avg_power, 1.1828919278778716);
   EXPECT_DOUBLE_EQ(m.eta, 2579401.8261115714);
+}
+
+// Explore golden: the byte digest of a whole small design flow (spec, BaseD
+// and ReD databases: every configuration and metric bit). The literals were
+// captured before the DSE bookkeeping was reworked (one genome hash per
+// evaluation, compiled dRC tables); that rework must not move a single bit,
+// at any thread count, batched or scalar.
+std::uint64_t flow_digest(const FlowResult& flow) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the value bytes
+  const auto add = [&h](const auto& v) {
+    unsigned char b[sizeof(v)];
+    std::memcpy(b, &v, sizeof(v));
+    for (unsigned char c : b) {
+      h ^= c;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto add_db = [&](const dse::DesignDb& db) {
+    add(static_cast<std::uint64_t>(db.size()));
+    for (const auto& p : db.points()) {
+      for (const auto& t : p.config.tasks) {
+        add(t.pe);
+        add(t.impl_index);
+        add(t.clr_index);
+        add(t.priority);
+      }
+      add(p.energy);
+      add(p.makespan);
+      add(p.func_rel);
+      add(static_cast<std::uint8_t>(p.extra));
+    }
+  };
+  add(flow.spec.max_makespan);
+  add(flow.spec.min_func_rel);
+  add_db(flow.based);
+  add_db(flow.red);
+  return h;
+}
+
+TEST(GoldenExplore, FlowDigestIsPinnedAtEveryThreadCountAndMode) {
+  const std::pair<std::size_t, std::uint64_t> golden[] = {{12, 0xbb876ac602a82c55ULL},
+                                                          {16, 0x9363fa314dae8978ULL}};
+  for (const auto& [tasks, digest] : golden) {
+    const auto app = make_synthetic_app(tasks, 100 + tasks);
+    for (const std::size_t threads : {1u, 2u}) {
+      for (const bool batched : {true, false}) {
+        FlowParams params;
+        params.dse.base_ga.population = 24;
+        params.dse.base_ga.generations = 10;
+        params.dse.red_ga.population = 12;
+        params.dse.red_ga.generations = 6;
+        params.dse.max_red_seeds = 4;
+        params.dse.threads = threads;
+        params.dse.batched_eval = batched;
+        util::Rng rng(tasks);
+        const FlowResult flow = run_design_flow(*app, params, rng);
+        EXPECT_GT(flow.red.size(), flow.based.size()) << "ReD found no extra";
+        EXPECT_EQ(flow_digest(flow), digest)
+            << tasks << " tasks, threads " << threads << (batched ? ", batched" : ", scalar");
+      }
+    }
+  }
 }
 
 TEST(GoldenRuntime, FoldedReconfigAccountingIsExactAfterTheStallSplit) {

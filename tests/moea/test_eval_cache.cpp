@@ -88,6 +88,66 @@ TEST(EvalCache, ClearEmptiesEveryShard) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+TEST(GenomeKey, CarriesHashGenesAndComparesTheFullGenes) {
+  const std::vector<int> a{1, 2, 3}, a_copy{1, 2, 3}, b{3, 2, 1};
+  EXPECT_EQ(GenomeKey(a).hash, hash_genes(a));
+  EXPECT_TRUE(GenomeKey(a) == GenomeKey(a_copy));
+  EXPECT_FALSE(GenomeKey(a) == GenomeKey(b));
+  EXPECT_FALSE(GenomeKey(a, 42) == GenomeKey(b, 42));  // same hash, different genes
+  EXPECT_TRUE(GenomeKey(a, 42) == GenomeKey(a, 42));
+}
+
+TEST(GenomeKey, EqualHashWithDifferentGenesIsAMissNotAWrongValue) {
+  EvalCache cache(64);
+  const std::vector<int> a{1, 2, 3}, b{3, 2, 1};
+  const GenomeKey ka(a, 0x1234), kb(b, 0x1234);  // forced collision: same shard, same bucket
+  cache.store(ka, Evaluation{{1.0}, 0.0});
+
+  Evaluation out{{9.0}, 9.0};
+  EXPECT_FALSE(cache.lookup(kb, &out));
+  EXPECT_EQ(out.objectives, (std::vector<double>{9.0}));
+  EXPECT_EQ(cache.misses(), 1u);
+
+  cache.store(kb, Evaluation{{2.0}, 0.5});
+  EXPECT_EQ(cache.size(), 2u);
+  ASSERT_TRUE(cache.lookup(ka, &out));
+  EXPECT_EQ(out.objectives, (std::vector<double>{1.0}));
+  ASSERT_TRUE(cache.lookup(kb, &out));
+  EXPECT_EQ(out.objectives, (std::vector<double>{2.0}));
+  EXPECT_EQ(out.violation, 0.5);
+}
+
+TEST(GenomeKey, EvictionIsFifoWithinAShard) {
+  EvalCache cache(32);  // 2 entries per shard
+  const std::vector<int> g0{0}, g1{1}, g2{2}, g3{3};
+  // One hash for all four keys puts them in the same shard.
+  cache.store(GenomeKey(g0, 7), Evaluation{{0.0}, 0.0});
+  cache.store(GenomeKey(g1, 7), Evaluation{{1.0}, 0.0});
+  cache.store(GenomeKey(g0, 7), Evaluation{{10.0}, 0.0});  // overwrite keeps its age
+  cache.store(GenomeKey(g2, 7), Evaluation{{2.0}, 0.0});   // evicts g0, the oldest
+  cache.store(GenomeKey(g3, 7), Evaluation{{3.0}, 0.0});   // evicts g1
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_EQ(cache.size(), 2u);
+  Evaluation out;
+  EXPECT_FALSE(cache.lookup(GenomeKey(g0, 7), &out));
+  EXPECT_FALSE(cache.lookup(GenomeKey(g1, 7), &out));
+  ASSERT_TRUE(cache.lookup(GenomeKey(g2, 7), &out));
+  EXPECT_EQ(out.objectives[0], 2.0);
+  ASSERT_TRUE(cache.lookup(GenomeKey(g3, 7), &out));
+  EXPECT_EQ(out.objectives[0], 3.0);
+}
+
+TEST(HashGenes, EverySingleGeneChangeMovesTheHash) {
+  std::vector<int> genes(241);  // odd length: the last gene fills half a word
+  for (std::size_t i = 0; i < genes.size(); ++i) genes[i] = static_cast<int>(i % 7);
+  const std::uint64_t base = hash_genes(genes);
+  for (std::size_t i = 0; i < genes.size(); ++i) {
+    auto changed = genes;
+    changed[i] += 1;
+    EXPECT_NE(hash_genes(changed), base) << "gene " << i;
+  }
+}
+
 TEST(BatchEvaluator, DeduplicatesIdenticalGenomesWithinABatch) {
   CountingProblem prob;
   BatchEvaluator evaluator(prob, {});
