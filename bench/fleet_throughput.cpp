@@ -14,6 +14,10 @@
 //     schedule-kernel normalized ratio), and the parallel rate must clear the
 //     conservative absolute `devices_per_second_floor`.
 //
+// It also reports, ungated, the decision cost per policy: devices/s and ns
+// per QoS event of a bare simulate_device loop for Baseline, uRA,
+// pre-trained AuRA and MDP with prefetch ("policies" in the report).
+//
 // Emits machine-readable BENCH_fleet.json to $CLR_REPORT_DIR (or the working
 // directory).
 //
@@ -36,6 +40,7 @@
 #include "fleet/fleet.hpp"
 #include "io/snapshot.hpp"
 #include "runtime/drc_matrix.hpp"
+#include "runtime/mdp_policy.hpp"
 
 namespace {
 
@@ -210,6 +215,41 @@ int main(int argc, char** argv) {
     measure_all();
   }
 
+  // --- Per-policy decision cost (reported, not gated): the bare sequential
+  // loop per policy at the same workload. AuRA devices each pre-train
+  // (pretrain_sweeps x pretrain_cycles), so they get a smaller sample; MDP
+  // devices share one offline plan, as run_fleet's do.
+  struct PolicyRow {
+    const char* name;
+    exp::PolicyKind kind;
+    bool prefetch;
+    std::uint64_t devices;
+    double devices_per_second = 0.0;
+    double ns_per_event = 0.0;
+  };
+  std::vector<PolicyRow> policy_rows{
+      {"baseline", exp::PolicyKind::Baseline, false, ref_devices},
+      {"ura", exp::PolicyKind::Ura, false, ref_devices},
+      {"aura", exp::PolicyKind::Aura, false, std::max<std::uint64_t>(ref_devices / 50, 20)},
+      {"mdp+prefetch", exp::PolicyKind::Mdp, true, ref_devices}};
+  const rt::MdpTable mdp_table =
+      rt::build_mdp_table(db, drc, qos.ranges(), config.params.p_rc, config.params.qos,
+                          config.params.faults, config.params.mdp);
+  for (PolicyRow& row : policy_rows) {
+    exp::RuntimeEvalParams params = config.params;
+    params.kind = row.kind;
+    params.prefetch = row.prefetch;
+    std::uint64_t events = 0;
+    const auto start = Clock::now();
+    for (std::uint64_t d = 0; d < row.devices; ++d) {
+      events += fleet::simulate_device(db, drc, qos, sim, params, space, d, config.seed, &mdp_table)
+                    .events;
+    }
+    const double s = seconds_since(start);
+    row.devices_per_second = static_cast<double>(row.devices) / s;
+    row.ns_per_event = events > 0 ? 1e9 * s / static_cast<double>(events) : 0.0;
+  }
+
   std::printf("fleet throughput: %llu devices, %zu tasks, %zu points, %.0f cycles/device, "
               "block %llu\n",
               static_cast<unsigned long long>(devices), tasks, db.size(),
@@ -223,6 +263,18 @@ int main(int argc, char** argv) {
               parallel_rate, pipeline_rate_j1 > 0.0 ? parallel_rate / pipeline_rate_j1 : 0.0);
   std::printf("  bit-identical aggregates across %zu shard/thread configs: %s\n", combos.size(),
               bit_identical ? "yes" : "NO (BUG)");
+  std::printf("  per policy (sequential loop, not gated):\n");
+  io::JsonArray policies;
+  for (const PolicyRow& row : policy_rows) {
+    std::printf("    %-13s %10.0f devices/s %9.1f ns/event (%llu devices)\n", row.name,
+                row.devices_per_second, row.ns_per_event,
+                static_cast<unsigned long long>(row.devices));
+    policies.push_back(io::Json(io::JsonObject{
+        {"policy", io::Json(row.name)},
+        {"devices", io::Json(row.devices)},
+        {"devices_per_second", io::Json(row.devices_per_second)},
+        {"ns_per_event", io::Json(row.ns_per_event)}}));
+  }
 
   io::Json report(io::JsonObject{
       {"workload",
@@ -241,6 +293,7 @@ int main(int argc, char** argv) {
       {"jobs", io::Json(static_cast<double>(auto_jobs))},
       {"overhead_ratio", io::Json(overhead_ratio)},
       {"bit_identical", io::Json(bit_identical)},
+      {"policies", io::Json(std::move(policies))},
   });
   const char* report_dir = std::getenv("CLR_REPORT_DIR");
   const std::string out_path =

@@ -25,6 +25,13 @@
 //     backend uses an explicit compare + select.
 // tests/common/test_simd.cpp cross-checks every op against the scalar
 // fallback on denormal / NaN / ±0 / infinity inputs.
+//
+// One program holds two backends (the -mavx2 kernel TU and everything
+// else), so each backend lives in its own inline namespace: VecD and its ops
+// then have distinct mangled names per backend. Without that, the linker
+// keeps one out-of-line copy of, say, `load(const double*)` for both TUs,
+// and an unoptimized build (nothing inlined) runs the AVX2 kernel on SSE2
+// vectors.
 
 #include <cstddef>
 
@@ -40,6 +47,8 @@
 namespace clr::simd {
 
 #if defined(CLR_SIMD_X86) && defined(__AVX2__)
+
+inline namespace avx2 {
 
 inline constexpr std::size_t kWidth = 4;
 inline constexpr const char* kBackend = "avx2";
@@ -59,7 +68,11 @@ inline VecD div(VecD a, VecD b) { return {_mm256_div_pd(a.v, b.v)}; }
 inline VecD max(VecD a, VecD b) { return {_mm256_max_pd(b.v, a.v)}; }
 inline VecD min(VecD a, VecD b) { return {_mm256_min_pd(b.v, a.v)}; }
 
+}  // namespace avx2
+
 #elif defined(CLR_SIMD_X86)
+
+inline namespace sse2 {
 
 inline constexpr std::size_t kWidth = 2;
 inline constexpr const char* kBackend = "sse2";
@@ -78,7 +91,11 @@ inline VecD div(VecD a, VecD b) { return {_mm_div_pd(a.v, b.v)}; }
 inline VecD max(VecD a, VecD b) { return {_mm_max_pd(b.v, a.v)}; }
 inline VecD min(VecD a, VecD b) { return {_mm_min_pd(b.v, a.v)}; }
 
+}  // namespace sse2
+
 #elif defined(CLR_SIMD_NEON)
+
+inline namespace neon {
 
 inline constexpr std::size_t kWidth = 2;
 inline constexpr const char* kBackend = "neon";
@@ -104,7 +121,11 @@ inline VecD min(VecD a, VecD b) {
   return {vbslq_f64(vcltq_f64(b.v, a.v), b.v, a.v)};
 }
 
+}  // namespace neon
+
 #else
+
+inline namespace scalar {
 
 inline constexpr std::size_t kWidth = 1;
 inline constexpr const char* kBackend = "scalar";
@@ -122,6 +143,8 @@ inline VecD mul(VecD a, VecD b) { return {a.v * b.v}; }
 inline VecD div(VecD a, VecD b) { return {a.v / b.v}; }
 inline VecD max(VecD a, VecD b) { return {a.v < b.v ? b.v : a.v}; }
 inline VecD min(VecD a, VecD b) { return {b.v < a.v ? b.v : a.v}; }
+
+}  // namespace scalar
 
 #endif
 

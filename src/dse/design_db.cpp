@@ -29,18 +29,58 @@ std::size_t DesignDb::add(DesignPoint point) {
     if (points_[i].config == point.config) return i;
   }
   bucket.push_back(points_.size());
+  // Same min/max fold, in the same point order, as a full rescan.
+  if (points_.empty()) {
+    ranges_.energy_min = ranges_.energy_max = point.energy;
+    ranges_.makespan_min = ranges_.makespan_max = point.makespan;
+    ranges_.func_rel_min = ranges_.func_rel_max = point.func_rel;
+  }
+  ranges_.energy_min = std::min(ranges_.energy_min, point.energy);
+  ranges_.energy_max = std::max(ranges_.energy_max, point.energy);
+  ranges_.makespan_min = std::min(ranges_.makespan_min, point.makespan);
+  ranges_.makespan_max = std::max(ranges_.makespan_max, point.makespan);
+  ranges_.func_rel_min = std::min(ranges_.func_rel_min, point.func_rel);
+  ranges_.func_rel_max = std::max(ranges_.func_rel_max, point.func_rel);
+  makespan_.push_back(point.makespan);
+  func_rel_.push_back(point.func_rel);
+  energy_.push_back(point.energy);
   points_.push_back(std::move(point));
   return points_.size() - 1;
 }
 
-std::vector<std::size_t> DesignDb::feasible_indices(const QosSpec& spec,
-                                                    const std::vector<bool>* point_alive) const {
-  std::vector<std::size_t> result;
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    if (point_alive != nullptr && !(*point_alive)[i]) continue;
-    if (points_[i].feasible_for(spec)) result.push_back(i);
+void DesignDb::reserve(std::size_t n) {
+  points_.reserve(n);
+  makespan_.reserve(n);
+  func_rel_.reserve(n);
+  energy_.reserve(n);
+}
+
+std::size_t DesignDb::feasible_indices(const QosSpec& spec, std::span<std::size_t> out,
+                                       const std::vector<bool>* point_alive) const {
+  const std::size_t n = points_.size();
+  if (out.size() < n) {
+    throw std::invalid_argument("DesignDb::feasible_indices: output buffer smaller than size()");
   }
-  return result;
+  // Branchless compaction: every index is written, the count advances only
+  // past feasible ones (DesignPoint::feasible_for on the columns).
+  const double* ms = makespan_.data();
+  const double* fr = func_rel_.data();
+  const double max_ms = spec.max_makespan;
+  const double min_fr = spec.min_func_rel;
+  std::size_t count = 0;
+  if (point_alive == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[count] = i;
+      count += static_cast<std::size_t>((ms[i] <= max_ms) & (fr[i] >= min_fr));
+    }
+  } else {
+    const std::vector<bool>& alive = *point_alive;
+    for (std::size_t i = 0; i < n; ++i) {
+      out[count] = i;
+      count += static_cast<std::size_t>(alive[i] & (ms[i] <= max_ms) & (fr[i] >= min_fr));
+    }
+  }
+  return count;
 }
 
 double DesignDb::violation_of(std::size_t i, const QosSpec& spec) const {
@@ -78,23 +118,6 @@ bool DesignDb::uses_pe(std::size_t i, plat::PeId pe) const {
   const auto& tasks = points_.at(i).config.tasks;
   return std::any_of(tasks.begin(), tasks.end(),
                      [&](const sched::TaskAssignment& a) { return a.pe == pe; });
-}
-
-MetricRanges DesignDb::ranges() const {
-  MetricRanges r;
-  if (points_.empty()) return r;
-  r.energy_min = r.energy_max = points_.front().energy;
-  r.makespan_min = r.makespan_max = points_.front().makespan;
-  r.func_rel_min = r.func_rel_max = points_.front().func_rel;
-  for (const auto& p : points_) {
-    r.energy_min = std::min(r.energy_min, p.energy);
-    r.energy_max = std::max(r.energy_max, p.energy);
-    r.makespan_min = std::min(r.makespan_min, p.makespan);
-    r.makespan_max = std::max(r.makespan_max, p.makespan);
-    r.func_rel_min = std::min(r.func_rel_min, p.func_rel);
-    r.func_rel_max = std::max(r.func_rel_max, p.func_rel);
-  }
-  return r;
 }
 
 std::size_t DesignDb::num_extra() const {

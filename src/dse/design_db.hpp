@@ -5,6 +5,7 @@
 // non-dominant points of §4.2.1 (flagged `extra`).
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,22 +44,32 @@ class DesignDb {
   DesignDb() = default;
 
   /// Add a point; rejects exact configuration duplicates. Returns the index
-  /// of the stored (or pre-existing) point.
+  /// of the stored (or pre-existing) point. Also appends the point's metrics
+  /// to the contiguous columns below and folds them into ranges().
   std::size_t add(DesignPoint point);
 
   /// Pre-size the point storage (bulk loaders: snapshot materialization).
-  void reserve(std::size_t n) { points_.reserve(n); }
+  void reserve(std::size_t n);
 
   std::size_t size() const { return points_.size(); }
   bool empty() const { return points_.empty(); }
   const DesignPoint& point(std::size_t i) const { return points_.at(i); }
   const std::vector<DesignPoint>& points() const { return points_; }
 
-  /// Indices of points satisfying `spec` (the FEAS set of Algorithm 1).
+  /// Per-point metric columns (index = stored point), contiguous copies of
+  /// DesignPoint::makespan / func_rel / energy for the run-time scans.
+  const std::vector<double>& makespans() const { return makespan_; }
+  const std::vector<double>& func_rels() const { return func_rel_; }
+  const std::vector<double>& energies() const { return energy_; }
+
+  /// Writes the indices of the points satisfying `spec` (the FEAS set of
+  /// Algorithm 1), ascending, to the front of `out` and returns their count.
   /// A non-null `point_alive` mask (size() entries; see flt::PlatformHealth)
-  /// additionally drops points that died with a failed PE.
-  std::vector<std::size_t> feasible_indices(const QosSpec& spec,
-                                            const std::vector<bool>* point_alive = nullptr) const;
+  /// additionally drops points that died with a failed PE. Allocation-free:
+  /// `out` is caller-owned scratch of at least size() entries (throws
+  /// std::invalid_argument otherwise); entries past the count are clobbered.
+  std::size_t feasible_indices(const QosSpec& spec, std::span<std::size_t> out,
+                               const std::vector<bool>* point_alive = nullptr) const;
 
   /// Index of the point minimizing total relative QoS violation — the
   /// fallback when no stored point satisfies the new spec. With a mask the
@@ -75,8 +86,9 @@ class DesignDb {
   /// True when point `i` binds at least one task to `pe`.
   bool uses_pe(std::size_t i, plat::PeId pe) const;
 
-  /// Metric ranges over all stored points.
-  MetricRanges ranges() const;
+  /// Metric ranges over all stored points (all zero when empty), maintained
+  /// by add().
+  const MetricRanges& ranges() const { return ranges_; }
 
   /// Number of `extra` (ReD) points.
   std::size_t num_extra() const;
@@ -94,6 +106,10 @@ class DesignDb {
 
  private:
   std::vector<DesignPoint> points_;
+  std::vector<double> makespan_;
+  std::vector<double> func_rel_;
+  std::vector<double> energy_;
+  MetricRanges ranges_;
   /// FNV-1a(configuration) -> stored indices with that hash. Dedup in add()
   /// probes the bucket with full Configuration equality (a collision degrades
   /// to an extra comparison, never a wrong match), turning the archive-wide

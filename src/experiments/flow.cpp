@@ -95,7 +95,9 @@ rt::RuntimeStats evaluate_policy_with(const dse::DesignDb& db, const rt::DrcMatr
   rt::RuntimeSimulator sim(params.sim);
 
   util::SplitMix64 mix(seed);
-  util::Rng pretrain_rng(mix.next());
+  // The pre-training seed is always drawn (the stream stays fixed), but its
+  // engine is only seeded when pre-training actually runs.
+  const std::uint64_t pretrain_seed = mix.next();
   util::Rng eval_rng(mix.next());
 
   // The fault seed is drawn *after* (and only in addition to) the two
@@ -138,6 +140,7 @@ rt::RuntimeStats evaluate_policy_with(const dse::DesignDb& db, const rt::DrcMatr
         // nominal platform the design-time flow optimized for. The prefetch
         // wrapper (if any) is absent here on purpose: staging is an
         // evaluation-time effect, not part of the prior.
+        util::Rng pretrain_rng(pretrain_seed);
         rt::pretrain_aura(policy, db, qos, params.pretrain_cycles, params.pretrain_sweeps,
                           pretrain_rng);
       }

@@ -185,7 +185,9 @@ DeviceResult simulate_device(const dse::DesignDb& db, const rt::DrcMatrix& drc,
   // fleet device bit-identical to a standalone evaluate_policy_with call —
   // pinned by tests/fleet/test_fleet_determinism.cpp.
   util::SplitMix64 mix(device_seed(fleet_seed, device));
-  util::Rng pretrain_rng(mix.next());
+  // The pre-training seed is always drawn (the stream stays fixed), but its
+  // engine is only seeded when pre-training actually runs.
+  const std::uint64_t pretrain_seed = mix.next();
   util::Rng eval_rng(mix.next());
 
   flt::FaultScenario scenario;
@@ -221,6 +223,7 @@ DeviceResult simulate_device(const dse::DesignDb& db, const rt::DrcMatrix& drc,
     case exp::PolicyKind::Aura: {
       rt::AuraPolicy policy(db, drc, params.p_rc, params.aura);
       if (params.pretrain) {
+        util::Rng pretrain_rng(pretrain_seed);
         rt::pretrain_aura(policy, db, qos, params.pretrain_cycles, params.pretrain_sweeps,
                           pretrain_rng);
       }

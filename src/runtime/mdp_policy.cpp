@@ -221,8 +221,10 @@ Decision MdpPolicy::decide(std::size_t current, const dse::QosSpec& spec) const 
   Decision d;
   const auto* mask = alive_mask();
   const std::size_t points = db_->size();
+  const double* ms = db_->makespans().data();
+  const double* fr = db_->func_rels().data();
   const auto usable = [&](std::size_t k) {
-    return (mask == nullptr || (*mask)[k]) && db_->point(k).feasible_for(spec);
+    return (mask == nullptr || (*mask)[k]) && spec.satisfied_by(ms[k], fr[k]);
   };
 
   std::size_t pick = table_->policy[table_->state_of(spec, current)];

@@ -17,31 +17,39 @@ const std::vector<bool>* AdaptationPolicy::alive_mask() const {
 BaselinePolicy::BaselinePolicy(const dse::DesignDb& db, const DrcMatrix& drc)
     : db_(&db), drc_(&drc) {
   if (db.empty()) throw std::invalid_argument("BaselinePolicy: empty database");
+  // Scale by the database ranges so units are comparable; the energy corner
+  // sits just beyond the worst stored energy.
+  const auto& r = db.ranges();
+  feas_.resize(db.size());
+  ref_ = {0.0, 0.0, r.energy_max * 1.05 + 1e-9};
+  scale_ = {1.0 / std::max(r.makespan_max - r.makespan_min, 1e-9),
+            1.0 / std::max(r.func_rel_max - r.func_rel_min, 1e-9),
+            1.0 / std::max(r.energy_max - r.energy_min, 1e-9)};
+  objectives_.resize(3);
 }
 
 Decision BaselinePolicy::select(std::size_t current, const dse::QosSpec& spec) {
   Decision d;
   const auto* mask = alive_mask();
-  auto feas = db_->feasible_indices(spec, mask);
-  if (feas.empty()) {
+  const std::size_t n = db_->feasible_indices(spec, feas_, mask);
+  if (n == 0) {
     d.feasible_set_empty = true;
     d.point = db_->least_violating(spec, mask);
   } else {
-    // Best signed hypervolume w.r.t. the QoS corner in (S, -F, J) space —
-    // scale by the database ranges so units are comparable.
-    const auto r = db_->ranges();
-    const std::vector<double> ref{spec.max_makespan, -spec.min_func_rel,
-                                  r.energy_max * 1.05 + 1e-9};
-    const std::vector<double> scale{
-        1.0 / std::max(r.makespan_max - r.makespan_min, 1e-9),
-        1.0 / std::max(r.func_rel_max - r.func_rel_min, 1e-9),
-        1.0 / std::max(r.energy_max - r.energy_min, 1e-9)};
+    // Best signed hypervolume w.r.t. the QoS corner in (S, -F, J) space.
+    ref_[0] = spec.max_makespan;
+    ref_[1] = -spec.min_func_rel;
+    const double* ms = db_->makespans().data();
+    const double* fr = db_->func_rels().data();
+    const double* en = db_->energies().data();
     double best_hv = -std::numeric_limits<double>::infinity();
-    std::size_t best = feas.front();
-    for (std::size_t i : feas) {
-      const auto& p = db_->point(i);
-      const double hv =
-          moea::signed_point_hypervolume({p.makespan, -p.func_rel, p.energy}, ref, scale);
+    std::size_t best = feas_[0];
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t i = feas_[k];
+      objectives_[0] = ms[i];
+      objectives_[1] = -fr[i];
+      objectives_[2] = en[i];
+      const double hv = moea::signed_point_hypervolume(objectives_, ref_, scale_);
       if (hv > best_hv) {
         best_hv = hv;
         best = i;
@@ -61,10 +69,14 @@ UraPolicy::UraPolicy(const dse::DesignDb& db, const DrcMatrix& drc, double p_rc)
   // FEAS normalization of Algorithm 1 (which ranks candidates), the reward
   // fed to AuRA's value updates must be stationary across events, or the
   // learned values average incomparable quantities.
-  const auto r = db.ranges();
+  const auto& r = db.ranges();
   global_energy_lo_ = r.energy_min;
   global_energy_hi_ = r.energy_max;
   global_drc_hi_ = drc.max_drc();
+  feas_.resize(db.size());
+  cand_drc_.resize(db.size());
+  cand_perf_.resize(db.size());
+  cand_ret_.resize(db.size());
 }
 
 Decision UraPolicy::evaluate_and_pick(std::size_t current, const dse::QosSpec& spec,
@@ -72,8 +84,8 @@ Decision UraPolicy::evaluate_and_pick(std::size_t current, const dse::QosSpec& s
                                       double guard) {
   Decision d;
   const auto* mask = alive_mask();
-  auto feas = db_->feasible_indices(spec, mask);
-  if (feas.empty()) {
+  const std::size_t n = db_->feasible_indices(spec, feas_, mask);
+  if (n == 0) {
     d.feasible_set_empty = true;
     d.point = db_->least_violating(spec, mask);
     d.drc = drc_->drc(current, d.point);
@@ -86,25 +98,31 @@ Decision UraPolicy::evaluate_and_pick(std::size_t current, const dse::QosSpec& s
   // the FEAS minimum): staying put costs nothing and must rank strictly
   // better than the cheapest actual move, otherwise a value lookahead breaks
   // the artificial tie with paid reconfigurations.
-  std::vector<double> drc(feas.size());
-  std::vector<double> perf(feas.size());  // R(p) = -Japp(p)
+  const std::size_t* feas = feas_.data();
+  double* drc = cand_drc_.data();
+  double* perf = cand_perf_.data();  // R(p) = -Japp(p)
+  double* immediate = cand_ret_.data();
+  const double* energy = db_->energies().data();
   double drc_hi = 0.0;
   double r_lo = std::numeric_limits<double>::infinity(), r_hi = -r_lo;
-  for (std::size_t k = 0; k < feas.size(); ++k) {
-    const auto& p = db_->point(feas[k]);
+  for (std::size_t k = 0; k < n; ++k) {
     drc[k] = drc_->drc(current, feas[k]);
-    perf[k] = -p.energy;
+    perf[k] = -energy[feas[k]];
     drc_hi = std::max(drc_hi, drc[k]);
     r_lo = std::min(r_lo, perf[k]);
     r_hi = std::max(r_hi, perf[k]);
   }
 
-  std::vector<double> immediate(feas.size());
+  // RET in its own loop: no loop-carried state, so it can vectorize (the
+  // local p_rc keeps the stores from aliasing the member).
+  const double p_rc = p_rc_;
+  for (std::size_t k = 0; k < n; ++k) {
+    immediate[k] = p_rc * util::min_max_norm(perf[k], r_lo, r_hi) -
+                   (1.0 - p_rc) * util::min_max_norm(drc[k], 0.0, drc_hi);
+  }
   double best_imm = -std::numeric_limits<double>::infinity();
   std::size_t best_k = 0;
-  for (std::size_t k = 0; k < feas.size(); ++k) {
-    immediate[k] = p_rc_ * util::min_max_norm(perf[k], r_lo, r_hi) -
-                   (1.0 - p_rc_) * util::min_max_norm(drc[k], 0.0, drc_hi);
+  for (std::size_t k = 0; k < n; ++k) {
     if (immediate[k] > best_imm || (immediate[k] == best_imm && feas[k] == current)) {
       best_imm = immediate[k];
       best_k = k;
@@ -121,7 +139,7 @@ Decision UraPolicy::evaluate_and_pick(std::size_t current, const dse::QosSpec& s
     // the immediate objective and break the γ=0/guard=0 uRA subsumption.
     const double band = std::max(guard, 0.0);
     double best_ret = -std::numeric_limits<double>::infinity();
-    for (std::size_t k = 0; k < feas.size(); ++k) {
+    for (std::size_t k = 0; k < n; ++k) {
       if (immediate[k] + band < best_imm) continue;
       const double ret = immediate[k] + gamma * (*state_values)[feas[k]];
       if (ret > best_ret || (ret == best_ret && feas[k] == current)) {
@@ -142,7 +160,7 @@ double UraPolicy::global_reward(std::size_t point, double paid_drc) const {
   // a zero-initialized value function is then *pessimistic* about unvisited
   // states, so the agent does not pay reconfigurations just to explore them.
   const double norm_r =
-      1.0 - util::min_max_norm(db_->point(point).energy, global_energy_lo_, global_energy_hi_);
+      1.0 - util::min_max_norm(db_->energies()[point], global_energy_lo_, global_energy_hi_);
   const double norm_drc = util::min_max_norm(paid_drc, 0.0, global_drc_hi_);
   return p_rc_ * norm_r + (1.0 - p_rc_) * (1.0 - norm_drc);
 }

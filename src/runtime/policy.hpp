@@ -94,6 +94,11 @@ class BaselinePolicy : public AdaptationPolicy {
  private:
   const dse::DesignDb* db_;
   const DrcMatrix* drc_;
+  // Scratch sized once at construction; select() allocates nothing.
+  std::vector<std::size_t> feas_;  ///< FEAS indices (db.size() entries)
+  std::vector<double> ref_;        ///< QoS corner (S, -F, J); J fixed per db
+  std::vector<double> scale_;      ///< per-axis 1 / db range
+  std::vector<double> objectives_; ///< candidate (S, -F, J)
 };
 
 /// Algorithm 1. pRC = 1 maximizes performance (energy reduction); pRC = 0
@@ -107,7 +112,8 @@ class UraPolicy : public AdaptationPolicy {
 
  protected:
   /// Shared evaluation core: returns RET per feasible point (plus lookahead
-  /// hook used by AuRA). Handles the empty-feasible-set fallback.
+  /// hook used by AuRA). Handles the empty-feasible-set fallback. Reads the
+  /// database's metric columns into the scratch below; allocation-free.
   Decision evaluate_and_pick(std::size_t current, const dse::QosSpec& spec,
                              const std::vector<double>* state_values, double gamma,
                              double guard);
@@ -123,6 +129,13 @@ class UraPolicy : public AdaptationPolicy {
   double global_energy_lo_ = 0.0;
   double global_energy_hi_ = 0.0;
   double global_drc_hi_ = 0.0;
+
+ private:
+  // Per-candidate scratch, db.size() entries each, sized at construction.
+  std::vector<std::size_t> feas_;  ///< FEAS indices
+  std::vector<double> cand_drc_;   ///< dRC(current -> feas[k])
+  std::vector<double> cand_perf_;  ///< R = -Japp of feas[k]
+  std::vector<double> cand_ret_;   ///< immediate RET of feas[k]
 };
 
 /// AuRA (§4.3.2): uRA with learned state-value lookahead.

@@ -29,10 +29,14 @@ RuntimeStats RuntimeSimulator::run(const dse::DesignDb& db, AdaptationPolicy& po
 
   const bool faults_on = scenario != nullptr && scenario->params.enabled();
 
-  CLR_TRACE_SPAN(run_span, trace::Category::Runtime, "rt.run",
-                 {{"points", db.size()},
-                  {"cycles", params_.total_cycles},
-                  {"faults", faults_on}});
+  // Arguments are attached only to an active span: a brace list would build
+  // (and format) every Arg on each run even with tracing off.
+  CLR_TRACE_SPAN(run_span, trace::Category::Runtime, "rt.run");
+  if (run_span.active()) {
+    run_span.arg({"points", db.size()});
+    run_span.arg({"cycles", params_.total_cycles});
+    run_span.arg({"faults", faults_on});
+  }
 
   RuntimeStats stats;
   stats.total_cycles = params_.total_cycles;
@@ -148,20 +152,26 @@ RuntimeStats RuntimeSimulator::run(const dse::DesignDb& db, AdaptationPolicy& po
 
   while (now < params_.total_cycles) {
     const double next_fault = faults_on ? injector->next_time() : kInf;
-    const double horizon =
-        std::min({next_event, next_episode, params_.total_cycles, next_fault});
-    if (!safe_mode) energy_weighted += db.point(current).energy * (horizon - now);
-    if (violating || safe_mode) stats.qos_violation_time += horizon - now;
-    if (safe_mode) stats.downtime += horizon - now;
-    now = horizon;
-
-    if (now >= params_.total_cycles) break;
-
-    if (now == next_episode) {
+    const double stop = std::min({next_event, params_.total_cycles, next_fault});
+    // Episode boundaries up to the next event, fault or run end change
+    // nothing but the accumulators and the episode counter: step them here,
+    // then dispatch the event or fault at `stop`. A boundary at the run end
+    // gets no end_episode of its own (the final one below covers it).
+    const double energy_rate = db.energies()[current];
+    while (next_episode <= stop && next_episode < params_.total_cycles) {
+      if (!safe_mode) energy_weighted += energy_rate * (next_episode - now);
+      if (violating || safe_mode) stats.qos_violation_time += next_episode - now;
+      if (safe_mode) stats.downtime += next_episode - now;
+      now = next_episode;
       policy.end_episode();
       next_episode += params_.episode_cycles;
-      if (now != next_event && now != next_fault) continue;
     }
+    if (!safe_mode) energy_weighted += energy_rate * (stop - now);
+    if (violating || safe_mode) stats.qos_violation_time += stop - now;
+    if (safe_mode) stats.downtime += stop - now;
+    now = stop;
+
+    if (now >= params_.total_cycles) break;
 
     if (faults_on && now == next_fault) {
       const flt::FaultEvent fe = injector->pop();
@@ -173,15 +183,22 @@ RuntimeStats RuntimeSimulator::run(const dse::DesignDb& db, AdaptationPolicy& po
         const bool hit = !safe_mode && db.uses_pe(current, fe.pe);
         bool recovered = false;
         if (hit) {
+          // The struck task is uniform over the tasks bound to the PE: draw
+          // the n-th of `on_pe` matches, then scan for it (no index list).
           const auto& tasks = db.point(current).config.tasks;
-          std::vector<std::size_t> on_pe;
-          for (std::size_t t = 0; t < tasks.size(); ++t) {
-            if (tasks[t].pe == fe.pe) on_pe.push_back(t);
+          const auto on_pe = [&](const sched::TaskAssignment& a) { return a.pe == fe.pe; };
+          std::size_t nth = injector->rng().index(
+              static_cast<std::size_t>(std::count_if(tasks.begin(), tasks.end(), on_pe)));
+          const sched::TaskAssignment* struck = nullptr;
+          for (const auto& a : tasks) {
+            if (on_pe(a) && nth-- == 0) {
+              struck = &a;
+              break;
+            }
           }
-          const auto& struck = tasks[on_pe[injector->rng().index(on_pe.size())]];
           const double p_recover =
               scenario->clr_space != nullptr
-                  ? flt::recovery_probability(scenario->clr_space->config(struck.clr_index))
+                  ? flt::recovery_probability(scenario->clr_space->config(struck->clr_index))
                   : scenario->params.fallback_coverage;
           if (injector->rng().chance(p_recover)) {
             recovered = true;

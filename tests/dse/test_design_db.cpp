@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 namespace clr::dse {
 namespace {
 
@@ -39,12 +43,69 @@ TEST(DesignDb, FeasibleIndices) {
   db.add(make_point(1, 100, 0.95, 1));
   db.add(make_point(2, 200, 0.99, 2));
   db.add(make_point(3, 50, 0.90, 3));
-  const auto feas = db.feasible_indices(QosSpec{150.0, 0.94});
-  EXPECT_EQ(feas, (std::vector<std::size_t>{0}));
-  const auto all = db.feasible_indices(QosSpec{500.0, 0.0});
-  EXPECT_EQ(all.size(), 3u);
-  const auto none = db.feasible_indices(QosSpec{10.0, 0.999});
-  EXPECT_TRUE(none.empty());
+  std::vector<std::size_t> feas(db.size());
+  ASSERT_EQ(db.feasible_indices(QosSpec{150.0, 0.94}, feas), 1u);
+  EXPECT_EQ(feas[0], 0u);
+  EXPECT_EQ(db.feasible_indices(QosSpec{500.0, 0.0}, feas), 3u);
+  EXPECT_EQ(feas, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(db.feasible_indices(QosSpec{10.0, 0.999}, feas), 0u);
+  std::vector<std::size_t> too_small(db.size() - 1);
+  EXPECT_THROW(db.feasible_indices(QosSpec{500.0, 0.0}, too_small), std::invalid_argument);
+}
+
+// The branchless column compaction must list exactly the points
+// DesignPoint::feasible_for accepts (bounds inclusive), ascending, with and
+// without an alive mask; the columns and cached ranges must equal the stored
+// points and a full rescan.
+TEST(DesignDb, FeasibleIndicesMatchesPointwiseScan) {
+  DesignDb db;
+  std::uint64_t lcg = 0x5eedULL;
+  const auto next = [&lcg](std::uint64_t m) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (lcg >> 33) % m;
+  };
+  for (int i = 0; i < 64; ++i) {
+    db.add(make_point(static_cast<double>(next(50)), static_cast<double>(10 * next(20)),
+                      0.9 + 0.01 * static_cast<double>(next(10)), i));
+  }
+  ASSERT_EQ(db.size(), 64u);
+  MetricRanges want;
+  want.energy_min = want.energy_max = db.point(0).energy;
+  want.makespan_min = want.makespan_max = db.point(0).makespan;
+  want.func_rel_min = want.func_rel_max = db.point(0).func_rel;
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    const auto& p = db.point(i);
+    EXPECT_EQ(db.makespans()[i], p.makespan);
+    EXPECT_EQ(db.func_rels()[i], p.func_rel);
+    EXPECT_EQ(db.energies()[i], p.energy);
+    want.energy_min = std::min(want.energy_min, p.energy);
+    want.energy_max = std::max(want.energy_max, p.energy);
+    want.makespan_min = std::min(want.makespan_min, p.makespan);
+    want.makespan_max = std::max(want.makespan_max, p.makespan);
+    want.func_rel_min = std::min(want.func_rel_min, p.func_rel);
+    want.func_rel_max = std::max(want.func_rel_max, p.func_rel);
+  }
+  EXPECT_EQ(db.ranges(), want);
+
+  std::vector<std::size_t> out(db.size());
+  std::vector<bool> alive(db.size());
+  for (int trial = 0; trial < 200; ++trial) {
+    // Grid-valued specs land exactly on stored metrics (inclusive bounds).
+    const QosSpec spec{static_cast<double>(10 * next(21)),
+                       0.9 + 0.01 * static_cast<double>(next(11))};
+    for (std::size_t i = 0; i < alive.size(); ++i) alive[i] = next(4) != 0;
+    for (const std::vector<bool>* mask : {static_cast<const std::vector<bool>*>(nullptr),
+                                          static_cast<const std::vector<bool>*>(&alive)}) {
+      std::vector<std::size_t> want_idx;
+      for (std::size_t i = 0; i < db.size(); ++i) {
+        if ((mask == nullptr || alive[i]) && db.point(i).feasible_for(spec)) want_idx.push_back(i);
+      }
+      const std::size_t n = db.feasible_indices(spec, out, mask);
+      EXPECT_EQ(std::vector<std::size_t>(out.begin(), out.begin() + static_cast<long>(n)),
+                want_idx)
+          << "trial " << trial << (mask != nullptr ? " masked" : "");
+    }
+  }
 }
 
 TEST(DesignDb, LeastViolatingPrefersFeasible) {

@@ -17,7 +17,9 @@
 #include "dse/mapping_problem.hpp"
 #include "experiments/app.hpp"
 #include "experiments/flow.hpp"
+#include "runtime/drc_matrix.hpp"
 #include "schedule/scheduler.hpp"
+#include "support/literal_db.hpp"
 
 namespace clr::exp {
 namespace {
@@ -72,16 +74,23 @@ TEST_F(GoldenSchedule, Table2BundleOfTaskZeroIsExact) {
 // captured before the DSE bookkeeping was reworked (one genome hash per
 // evaluation, compiled dRC tables); that rework must not move a single bit,
 // at any thread count, batched or scalar.
-std::uint64_t flow_digest(const FlowResult& flow) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the value bytes
-  const auto add = [&h](const auto& v) {
+/// FNV-1a over the bytes of a sequence of values.
+struct ByteDigest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+
+  template <typename T>
+  void operator()(const T& v) {
     unsigned char b[sizeof(v)];
     std::memcpy(b, &v, sizeof(v));
     for (unsigned char c : b) {
       h ^= c;
       h *= 0x100000001b3ULL;
     }
-  };
+  }
+};
+
+std::uint64_t flow_digest(const FlowResult& flow) {
+  ByteDigest add;
   const auto add_db = [&](const dse::DesignDb& db) {
     add(static_cast<std::uint64_t>(db.size()));
     for (const auto& p : db.points()) {
@@ -101,7 +110,7 @@ std::uint64_t flow_digest(const FlowResult& flow) {
   add(flow.spec.min_func_rel);
   add_db(flow.based);
   add_db(flow.red);
-  return h;
+  return add.h;
 }
 
 TEST(GoldenExplore, FlowDigestIsPinnedAtEveryThreadCountAndMode) {
@@ -170,6 +179,182 @@ TEST(GoldenRuntime, FoldedReconfigAccountingIsExactAfterTheStallSplit) {
   EXPECT_EQ(s.reconfig_stall_time, s.total_reconfig_cost);
   EXPECT_EQ(s.prefetch_hidden_time, 0.0);
   EXPECT_DOUBLE_EQ(s.service_availability, 0.99350000000000005);
+}
+
+// Runtime golden: the byte digest of every RuntimeStats field plus the first
+// 64 trace records, per policy, over test::LiteralDb. That database holds no
+// design-time result, so only run-time code can move it. The literals were
+// captured before the run-time decision path was rewritten
+// (column scans into policy-owned scratch, the episode-boundary inner loop,
+// the index-free struck-task draw); that rewrite must not move a single bit.
+// Fleet-vs-evaluate_policy_with tests cannot catch such a drift: both sides
+// run the same rewritten code.
+std::uint64_t stats_digest(const rt::RuntimeStats& s) {
+  ByteDigest add;
+  add(s.total_cycles);
+  add(static_cast<std::uint64_t>(s.num_events));
+  add(static_cast<std::uint64_t>(s.num_reconfigs));
+  add(static_cast<std::uint64_t>(s.num_infeasible_events));
+  add(s.avg_energy);
+  add(s.total_reconfig_cost);
+  add(s.avg_reconfig_cost);
+  add(s.max_drc);
+  add(s.qos_violation_time);
+  add(static_cast<std::uint64_t>(s.num_transient_faults));
+  add(static_cast<std::uint64_t>(s.num_recovered_transients));
+  add(static_cast<std::uint64_t>(s.num_unrecovered_failures));
+  add(static_cast<std::uint64_t>(s.num_permanent_faults));
+  add(static_cast<std::uint64_t>(s.num_evacuations));
+  add(static_cast<std::uint64_t>(s.num_safe_mode_entries));
+  add(s.downtime);
+  add(s.availability);
+  add(s.mttr);
+  add(s.reconfig_stall_time);
+  add(s.prefetch_hidden_time);
+  add(static_cast<std::uint64_t>(s.prefetch_hits));
+  add(static_cast<std::uint64_t>(s.prefetch_misses));
+  add(s.service_availability);
+  add(static_cast<std::uint64_t>(s.trace.size()));
+  for (const auto& ev : s.trace) {
+    add(ev.time);
+    add(static_cast<std::uint64_t>(ev.point));
+    add(ev.drc);
+    add(static_cast<std::uint8_t>(ev.reconfigured));
+    add(static_cast<std::uint8_t>(ev.infeasible));
+    add(static_cast<std::uint8_t>(ev.fault));
+    add(static_cast<std::uint8_t>(ev.violation));
+    add(static_cast<std::uint8_t>(ev.safe_mode));
+  }
+  return add.h;
+}
+
+TEST(GoldenRuntime, StatsDigestIsPinnedForEveryPolicy) {
+  struct Case {
+    const char* name;
+    PolicyKind kind;
+    bool faults;
+    bool prefetch;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"baseline", PolicyKind::Baseline, false, false, 0x70ead8e58fa9dee1ULL},
+      {"baseline+faults", PolicyKind::Baseline, true, false, 0x71915b2eee361613ULL},
+      {"ura", PolicyKind::Ura, false, false, 0x13668445815a7d2bULL},
+      {"ura+faults", PolicyKind::Ura, true, false, 0x817e476ea18dce89ULL},
+      {"aura", PolicyKind::Aura, false, false, 0x1d171cdae508c1c4ULL},
+      {"aura+faults", PolicyKind::Aura, true, false, 0x263e5f15c6e17532ULL},
+      {"aura+prefetch", PolicyKind::Aura, false, true, 0x1bb6b4d032616deeULL},
+      {"aura+faults+prefetch", PolicyKind::Aura, true, true, 0x98578c596483ed3eULL},
+      {"mdp", PolicyKind::Mdp, false, false, 0xe2e80af64f5bbf0eULL},
+      {"mdp+faults", PolicyKind::Mdp, true, false, 0xde51c12d279c3589ULL},
+      {"mdp+prefetch", PolicyKind::Mdp, false, true, 0xea3719afdf79f22fULL},
+      {"mdp+faults+prefetch", PolicyKind::Mdp, true, true, 0x412c6f37fe80406cULL},
+  };
+  const test::LiteralDb lit;
+  rt::RuntimeStats sum;  // non-vacuity: every path the digests guard was taken
+  for (const Case& c : cases) {
+    RuntimeEvalParams params;
+    params.kind = c.kind;
+    params.p_rc = 0.4;
+    params.pretrain_cycles = 1e4;
+    params.pretrain_sweeps = 2;
+    params.aura.guard = 0.05;  // let the value lookahead overrule uRA
+    params.sim.total_cycles = 3e4;
+    params.sim.trace_events = 64;
+    if (c.faults) {
+      params.faults.transient_rate = 2e-3;
+      params.faults.pe_mtbf = 2e4;
+      params.faults.qos_tolerance = 0.5;  // evacuate rather than drop to safe mode
+    }
+    params.prefetch = c.prefetch;
+    const rt::RuntimeStats s =
+        evaluate_policy_with(lit.db, lit.drc, lit.ranges, params, 9, &lit.space);
+    EXPECT_EQ(stats_digest(s), c.digest) << c.name << " 0x" << std::hex << stats_digest(s);
+    sum.num_reconfigs += s.num_reconfigs;
+    sum.num_infeasible_events += s.num_infeasible_events;
+    sum.num_recovered_transients += s.num_recovered_transients;
+    sum.num_unrecovered_failures += s.num_unrecovered_failures;
+    sum.num_permanent_faults += s.num_permanent_faults;
+    sum.num_evacuations += s.num_evacuations;
+    sum.prefetch_hits += s.prefetch_hits;
+    sum.num_safe_mode_entries += s.num_safe_mode_entries;
+  }
+  EXPECT_GT(sum.num_reconfigs, 0u);
+  EXPECT_GT(sum.num_infeasible_events, 0u);
+  EXPECT_GT(sum.num_recovered_transients, 0u);
+  EXPECT_GT(sum.num_unrecovered_failures, 0u);
+  EXPECT_GT(sum.num_permanent_faults, 0u);
+  EXPECT_GT(sum.num_evacuations, 0u);
+  EXPECT_GT(sum.prefetch_hits, 0u);
+  EXPECT_GT(sum.num_safe_mode_entries, 0u);
+
+  // Pre-trained AuRA values: every bit of the stationary learning reward
+  // (global_reward's normalizations) over a fault-free pre-training run.
+  {
+    rt::AuraPolicy aura(lit.db, lit.drc, 0.4);
+    util::Rng rng(9);
+    ByteDigest add;
+    for (const double v :
+         rt::pretrain_aura(aura, lit.db, rt::QosProcess(lit.ranges), 1e4, 2, rng)) {
+      add(v);
+    }
+    EXPECT_EQ(add.h, 0x4a9476e886cf20aeULL) << "pre-trained AuRA values 0x" << std::hex << add.h;
+  }
+
+  // Tie fixture: twin points (same metrics, zero dRC between them) make the
+  // current point tie exactly with its twin on every event it stays
+  // feasible, so the "prefer the current point" tie-breaks decide. Moving
+  // from 4 or 5 is cheaper into twin 1 (or 3), so the current twin is often
+  // the higher index — dropping a tie-break then moves to the lower one.
+  // AuRA's tiny learning rate keeps gamma * V below the RET's last bit, so
+  // its value lookahead ties exactly too.
+  dse::DesignDb twins;
+  const auto add_point = [&](double s, double f, double j, int tag) {
+    dse::DesignPoint p;
+    p.makespan = s;
+    p.func_rel = f;
+    p.energy = j;
+    p.config.tasks.resize(1);
+    p.config.tasks[0].priority = tag;
+    twins.add(p);
+  };
+  add_point(90, 0.95, 40, 0);
+  add_point(90, 0.95, 40, 1);
+  add_point(85, 0.97, 60, 2);
+  add_point(85, 0.97, 60, 3);
+  add_point(80, 0.99, 80, 4);
+  add_point(110, 0.93, 30, 5);
+  const rt::DrcMatrix twin_drc(6, {0,  0,  10, 10, 2,  7,    //
+                                   0,  0,  10, 10, 2,  7,    //
+                                   10, 10, 0,  0,  13, 3,    //
+                                   10, 10, 0,  0,  13, 3,    //
+                                   5,  2,  14, 13, 0,  11,   //
+                                   9,  7,  4,  3,  11, 0});  //
+  dse::MetricRanges twin_ranges;
+  twin_ranges.makespan_min = 80.0;
+  twin_ranges.makespan_max = 120.0;
+  twin_ranges.func_rel_min = 0.92;
+  twin_ranges.func_rel_max = 0.99;
+  twin_ranges.energy_min = 30.0;
+  twin_ranges.energy_max = 80.0;
+  const Case twin_cases[] = {
+      {"twins baseline", PolicyKind::Baseline, false, false, 0xbac6da1129826f21ULL},
+      {"twins ura", PolicyKind::Ura, false, false, 0xdae97dc2d4158f46ULL},
+      {"twins aura", PolicyKind::Aura, false, false, 0xdae97dc2d4158f46ULL},
+      {"twins mdp", PolicyKind::Mdp, false, false, 0xdae97dc2d4158f46ULL},
+  };
+  for (const Case& c : twin_cases) {
+    RuntimeEvalParams params;
+    params.kind = c.kind;
+    params.p_rc = 0.3;
+    params.aura.alpha = 1e-30;
+    params.pretrain_cycles = 5e3;
+    params.pretrain_sweeps = 2;
+    params.sim.total_cycles = 2e4;
+    params.sim.trace_events = 64;
+    const rt::RuntimeStats s = evaluate_policy_with(twins, twin_drc, twin_ranges, params, 42);
+    EXPECT_EQ(stats_digest(s), c.digest) << c.name << " 0x" << std::hex << stats_digest(s);
+  }
 }
 
 TEST_F(GoldenSchedule, ScheduleStructurallyValid) {

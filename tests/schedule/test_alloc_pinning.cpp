@@ -1,8 +1,10 @@
-// Allocation pinning for the flat evaluation kernel (ISSUE 5 / DESIGN.md
-// §5.9): once a per-thread EvalScratch is warm for a problem shape, a
-// CompiledGraph evaluation must perform *zero* heap allocations, and the
-// MappingProblem steady-state paths (decode_into + cache-hit
-// evaluate_metrics) must stay allocation-free too. The count is enforced by
+// Allocation pinning for the flat evaluation kernel (DESIGN.md §5.9): once a
+// per-thread EvalScratch is warm for a problem shape, a CompiledGraph
+// evaluation must perform *zero* heap allocations, and the MappingProblem
+// steady-state paths (decode_into + cache-hit evaluate_metrics) must stay
+// allocation-free too. The run-time loop (DESIGN.md §5.4) has the same
+// contract per event: RuntimeSimulator::run allocates only at run start,
+// whatever the horizon. The count is enforced by
 // replacing the global operator new/delete with counting versions, which is
 // why this suite lives in its own binary (alloc_tests) — the override is
 // program-wide.
@@ -15,13 +17,18 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "dse/mapping_problem.hpp"
 #include "experiments/app.hpp"
+#include "runtime/mdp_policy.hpp"
+#include "runtime/prefetch.hpp"
+#include "runtime/simulator.hpp"
 #include "schedule/batch.hpp"
 #include "schedule/compiled_graph.hpp"
 #include "schedule/heft.hpp"
+#include "support/literal_db.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
@@ -156,6 +163,82 @@ TEST(AllocPinning, CacheHitEvaluateMetricsIsAllocationFree) {
   EXPECT_EQ(delta, 0u) << "memo-cache hit path allocated";
   EXPECT_EQ(m.makespan, first.makespan);
   EXPECT_EQ(problem.schedule_runs(), 1u);  // every counted call was a hit
+}
+
+// Steady state of the run-time loop: a run at horizon 2T must allocate
+// exactly as often as a run at horizon T (same seeds, fresh policies), so no
+// QoS event, episode boundary, fault or prefetch stage allocates. Every
+// policy, bare and wrapped in PrefetchPolicy, fault-free and with transient
+// and permanent faults.
+TEST(AllocPinning, RuntimeSimulatorSteadyStateIsAllocationFree) {
+  const test::LiteralDb lit;
+  const dse::DesignDb& db = lit.db;
+  const rt::DrcMatrix& drc = lit.drc;
+  const rt::QosProcess qos(lit.ranges);
+  const rt::MdpTable table =
+      rt::build_mdp_table(db, drc, qos.ranges(), 0.4, rt::QosProcessParams{}, flt::FaultParams{});
+
+  flt::FaultScenario scenario;
+  scenario.params.transient_rate = 2e-3;
+  scenario.params.pe_mtbf = 2e5;
+  scenario.params.qos_tolerance = 0.5;
+  scenario.clr_space = &lit.space;
+  scenario.seed = 5;
+
+  enum class Kind { Baseline, Ura, Aura, Mdp };
+  struct Counted {
+    std::uint64_t allocs = 0;
+    rt::RuntimeStats stats;
+  };
+  const auto run = [&](Kind kind, bool prefetch, bool faults, double horizon) {
+    rt::BaselinePolicy baseline(db, drc);
+    rt::UraPolicy ura(db, drc, 0.4);
+    rt::AuraPolicy::Params ap;
+    ap.guard = 0.05;
+    rt::AuraPolicy aura(db, drc, 0.4, ap);
+    rt::MdpPolicy mdp(db, drc, table);
+    rt::AdaptationPolicy* const by_kind[] = {&baseline, &ura, &aura, &mdp};
+    rt::AdaptationPolicy& inner = *by_kind[static_cast<int>(kind)];
+    rt::PrefetchPolicy wrapped(inner, db, drc);
+    rt::AdaptationPolicy& policy = prefetch ? wrapped : inner;
+    rt::SimulationParams sp;
+    sp.total_cycles = horizon;
+    const rt::RuntimeSimulator sim(sp);
+    util::Rng rng(31);
+    Counted c;
+    const std::uint64_t before = allocs();
+    c.stats = sim.run(db, policy, qos, rng, faults ? &scenario : nullptr);
+    c.allocs = allocs() - before;
+    return c;
+  };
+
+  constexpr double kT = 3e4;
+  for (const Kind kind : {Kind::Baseline, Kind::Ura, Kind::Aura, Kind::Mdp}) {
+    for (const bool prefetch : {false, true}) {
+      for (const bool faults : {false, true}) {
+        const Counted t = run(kind, prefetch, faults, kT);
+        const Counted t2 = run(kind, prefetch, faults, 2 * kT);
+        const std::string label = "policy " + std::to_string(static_cast<int>(kind)) +
+                                  (prefetch ? " +prefetch" : "") + (faults ? " +faults" : "");
+        EXPECT_EQ(t2.allocs, t.allocs) << label << ": the run allocated per event";
+        // The longer run really did more work of every kind it guards.
+        EXPECT_GT(t2.stats.num_events, t.stats.num_events) << label;
+        if (faults) {
+          EXPECT_GT(t2.stats.num_recovered_transients + t2.stats.num_unrecovered_failures,
+                    t.stats.num_recovered_transients + t.stats.num_unrecovered_failures)
+              << label;  // transients that struck the active point
+          // A PE death in the second half forces an evacuation, after which
+          // every decision scans a masked database.
+          EXPECT_GT(t2.stats.num_evacuations, t.stats.num_evacuations) << label;
+        }
+        if (prefetch && !faults) {
+          EXPECT_GT(t2.stats.prefetch_hits + t2.stats.prefetch_misses,
+                    t.stats.prefetch_hits + t.stats.prefetch_misses)
+              << label;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
