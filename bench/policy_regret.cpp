@@ -158,15 +158,6 @@ int main(int argc, char** argv) {
 
   const std::vector<exp::PolicyKind> kinds{exp::PolicyKind::Baseline, exp::PolicyKind::Ura,
                                            exp::PolicyKind::Aura, exp::PolicyKind::Mdp};
-  const auto kind_name = [](exp::PolicyKind kind) {
-    switch (kind) {
-      case exp::PolicyKind::Baseline: return "baseline";
-      case exp::PolicyKind::Ura: return "ura";
-      case exp::PolicyKind::Aura: return "aura";
-      case exp::PolicyKind::Mdp: return "mdp";
-    }
-    return "?";
-  };
 
   const auto run_grid = [&](std::size_t jobs) {
     exp::RunnerConfig config;
@@ -183,7 +174,7 @@ int main(int argc, char** argv) {
         cell.params.kind = kind;
         cell.params.prefetch = prefetch;
         cell.seed = seed ^ 0x5157ULL;
-        cell.label = std::string(kind_name(kind)) + (prefetch ? "+prefetch" : "");
+        cell.label = std::string(exp::policy_name(kind)) + (prefetch ? "+prefetch" : "");
         runner.add_cell(std::move(cell));
       }
     }
@@ -241,7 +232,7 @@ int main(int argc, char** argv) {
   // reconfiguration time over the horizon) of the prefetch-off cells, minus
   // the best policy of the round.
   const auto cell_of = [&](exp::PolicyKind kind, bool prefetch) -> const exp::CellResult& {
-    const std::string label = std::string(kind_name(kind)) + (prefetch ? "+prefetch" : "");
+    const std::string label = std::string(exp::policy_name(kind)) + (prefetch ? "+prefetch" : "");
     for (const auto& cell : grid) {
       if (cell.label == label) return cell;
     }
@@ -304,9 +295,9 @@ int main(int argc, char** argv) {
     const auto& cell = cell_of(kinds[i], false);
     std::printf("  %-8s weighted objective %.6f (regret %+.6f), violation %.1f, "
                 "stall %.1f\n",
-                kind_name(kinds[i]), costs[i], costs[i] - best_cost,
+                exp::policy_name(kinds[i]), costs[i], costs[i] - best_cost,
                 cell.stats.qos_violation_time.mean, cell.stats.reconfig_stall_time.mean);
-    policies.emplace_back(kind_name(kinds[i]),
+    policies.emplace_back(exp::policy_name(kinds[i]),
                           io::Json(io::JsonObject{
                               {"weighted_objective", io::Json(costs[i])},
                               {"regret", io::Json(costs[i] - best_cost)},

@@ -110,27 +110,6 @@ class StopToken {
 
 inline StopToken StopSource::token() noexcept { return StopToken(this); }
 
-/// Step-count budget: arms a StopSource with StopReason::Budget once `limit`
-/// steps have been recorded. A limit of 0 means unlimited. Sessions call
-/// step() once per generation boundary / replication job.
-class RunBudget {
- public:
-  RunBudget(StopSource& source, std::uint64_t limit) : source_(&source), limit_(limit) {}
-
-  void step(std::uint64_t count = 1) {
-    steps_ += count;
-    if (limit_ != 0 && steps_ >= limit_) source_->request_stop(StopReason::Budget);
-  }
-
-  std::uint64_t steps() const { return steps_; }
-  std::uint64_t limit() const { return limit_; }
-
- private:
-  StopSource* source_;
-  std::uint64_t limit_;
-  std::uint64_t steps_ = 0;
-};
-
 /// Route SIGINT and SIGTERM to `source.request_stop(StopReason::Signal)`.
 /// Installed with SA_RESETHAND: the first signal requests a cooperative stop
 /// (finish the current generation/cell, write a final checkpoint), a second

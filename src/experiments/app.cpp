@@ -24,18 +24,7 @@ AppInstance::AppInstance(tg::TaskGraph graph, plat::Platform platform, rel::ClrS
 
 std::unique_ptr<AppInstance> make_synthetic_app(std::size_t num_tasks, std::uint64_t seed,
                                                 rel::ClrGranularity granularity) {
-  util::SplitMix64 mix(seed);
-  const std::uint64_t graph_seed = mix.next();
-  const std::uint64_t impl_seed = mix.next();
-
-  tg::GeneratorParams gp;
-  gp.num_tasks = num_tasks;
-  gp.num_task_types = std::max<std::size_t>(4, num_tasks / 5);
-  util::Rng graph_rng(graph_seed);
-  tg::TaskGraph graph = tg::TgffGenerator(gp).generate(graph_rng);
-
-  return std::make_unique<AppInstance>(std::move(graph), plat::make_default_hmpsoc(), granularity,
-                                       rel::FaultModel{}, rel::ImplGenParams{}, impl_seed);
+  return make_synthetic_app_with_space(num_tasks, seed, rel::ClrSpace(granularity));
 }
 
 std::unique_ptr<AppInstance> make_synthetic_app_with_space(std::size_t num_tasks,

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "faults/fault_model.hpp"
 #include "runtime/drc_matrix.hpp"
 
 namespace clr::exp {
@@ -66,6 +67,76 @@ FlowResult run_design_flow(const AppInstance& app, const FlowParams& params, uti
   return result;
 }
 
+const char* policy_name(PolicyKind kind) {
+  switch (kind) {
+    case PolicyKind::Baseline: return "baseline";
+    case PolicyKind::Ura: return "ura";
+    case PolicyKind::Aura: return "aura";
+    case PolicyKind::Mdp: return "mdp";
+  }
+  return "unknown";
+}
+
+RuntimeEvalParams with_platform_fault_profiles(RuntimeEvalParams params,
+                                               const plat::Platform& platform) {
+  if (params.faults.enabled() && params.fault_profiles.empty()) {
+    params.fault_profiles = flt::profiles_from_platform(platform);
+  }
+  return params;
+}
+
+void hash_eval_params(util::Fnv1a& h, const RuntimeEvalParams& p,
+                      const dse::MetricRanges& ranges) {
+  h.value<std::uint32_t>(static_cast<std::uint32_t>(p.kind));
+  h.value<double>(p.p_rc);
+  h.value<double>(p.aura.gamma);
+  h.value<double>(p.aura.alpha);
+  h.value<double>(p.aura.guard);
+  h.value<double>(p.aura.initial_value);
+  h.value<double>(p.pretrain_cycles);
+  h.value<std::uint64_t>(p.pretrain_sweeps);
+  h.value<std::uint8_t>(p.pretrain ? 1 : 0);
+  h.value<double>(p.sim.total_cycles);
+  h.value<double>(p.sim.episode_cycles);
+  h.value<double>(p.qos.makespan_mean_frac);
+  h.value<double>(p.qos.makespan_sd_frac);
+  h.value<double>(p.qos.func_rel_mean_frac);
+  h.value<double>(p.qos.func_rel_sd_frac);
+  h.value<double>(p.qos.rho);
+  h.value<double>(p.qos.ar1_phi);
+  h.value<double>(p.qos.mean_event_gap);
+  h.value<double>(p.faults.transient_rate);
+  h.value<double>(p.faults.pe_mtbf);
+  h.value<double>(p.faults.recovery_latency);
+  h.value<double>(p.faults.reexec_energy_factor);
+  h.value<double>(p.faults.qos_tolerance);
+  h.value<double>(p.faults.fallback_coverage);
+  h.value<std::uint64_t>(p.fault_profiles.size());
+  for (const auto& profile : p.fault_profiles) {
+    h.value<double>(profile.ser_scale);
+    h.value<double>(profile.weibull_shape);
+  }
+  h.value<double>(ranges.energy_min);
+  h.value<double>(ranges.energy_max);
+  h.value<double>(ranges.makespan_min);
+  h.value<double>(ranges.makespan_max);
+  h.value<double>(ranges.func_rel_min);
+  h.value<double>(ranges.func_rel_max);
+  // Later-added knobs enter the hash only when in play, so every identity
+  // hashed before they existed keeps its value (and its checkpoints resume).
+  if (p.kind == PolicyKind::Mdp) {
+    h.value<std::uint64_t>(p.mdp.makespan_bins);
+    h.value<std::uint64_t>(p.mdp.func_rel_bins);
+    h.value<double>(p.mdp.gamma);
+    h.value<double>(p.mdp.tolerance);
+    h.value<std::uint64_t>(p.mdp.max_sweeps);
+  }
+  if (p.prefetch) {
+    h.value<std::uint8_t>(1);
+    h.value<std::uint64_t>(p.prefetch_params.min_observations);
+  }
+}
+
 rt::RuntimeStats evaluate_policy(const AppInstance& app, const dse::DesignDb& db,
                                  const dse::MetricRanges& ranges,
                                  const RuntimeEvalParams& params, std::uint64_t seed) {
@@ -77,13 +148,8 @@ rt::RuntimeStats evaluate_policy(const AppInstance& app, const dse::DesignDb& db
 rt::RuntimeStats evaluate_policy(const AppInstance& app, const dse::DesignDb& db,
                                  const rt::DrcMatrix& drc, const dse::MetricRanges& ranges,
                                  const RuntimeEvalParams& params, std::uint64_t seed) {
-  if (params.faults.enabled() && params.fault_profiles.empty()) {
-    // Derive the per-PE fault heterogeneity from the platform model.
-    RuntimeEvalParams derived = params;
-    derived.fault_profiles = flt::profiles_from_platform(app.platform());
-    return evaluate_policy_with(db, drc, ranges, derived, seed, &app.clr_space());
-  }
-  return evaluate_policy_with(db, drc, ranges, params, seed, &app.clr_space());
+  return evaluate_policy_with(db, drc, ranges, with_platform_fault_profiles(params, app.platform()),
+                              seed, &app.clr_space());
 }
 
 rt::RuntimeStats evaluate_policy_with(const dse::DesignDb& db, const rt::DrcMatrix& drc,
@@ -91,9 +157,15 @@ rt::RuntimeStats evaluate_policy_with(const dse::DesignDb& db, const rt::DrcMatr
                                       const RuntimeEvalParams& params, std::uint64_t seed,
                                       const rel::ClrSpace* clr_space,
                                       const rt::MdpTable* mdp_table) {
-  rt::QosProcess qos(ranges, params.qos);
-  rt::RuntimeSimulator sim(params.sim);
+  const rt::QosProcess qos(ranges, params.qos);
+  const rt::RuntimeSimulator sim(params.sim);
+  return evaluate_device(db, drc, qos, sim, params, seed, clr_space, mdp_table);
+}
 
+rt::RuntimeStats evaluate_device(const dse::DesignDb& db, const rt::DrcMatrix& drc,
+                                 const rt::QosProcess& qos, const rt::RuntimeSimulator& sim,
+                                 const RuntimeEvalParams& params, std::uint64_t seed,
+                                 const rel::ClrSpace* clr_space, const rt::MdpTable* mdp_table) {
   util::SplitMix64 mix(seed);
   // The pre-training seed is always drawn (the stream stays fixed), but its
   // engine is only seeded when pre-training actually runs.
@@ -148,19 +220,19 @@ rt::RuntimeStats evaluate_policy_with(const dse::DesignDb& db, const rt::DrcMatr
     }
     case PolicyKind::Mdp: {
       // Offline planning is deterministic (no RNG), so building the table
-      // here — or reusing one prebuilt by the caller (fleet sweeps,
-      // snapshot-loaded tables) — yields bit-identical runs.
+      // here — or reusing one prebuilt by the caller (fleet sweeps, Runner
+      // cells, snapshot-loaded tables) — yields bit-identical runs.
       rt::MdpTable built;
       if (mdp_table == nullptr) {
-        built = rt::build_mdp_table(db, drc, ranges, params.p_rc, params.qos, params.faults,
-                                    params.mdp);
+        built = rt::build_mdp_table(db, drc, qos.ranges(), params.p_rc, params.qos,
+                                    params.faults, params.mdp);
         mdp_table = &built;
       }
       rt::MdpPolicy policy(db, drc, *mdp_table);
       return run_with(policy);
     }
   }
-  throw std::logic_error("evaluate_policy_with: unknown policy kind");
+  throw std::logic_error("evaluate_device: unknown policy kind");
 }
 
 }  // namespace clr::exp

@@ -3,6 +3,7 @@
 // run the design-time stages (BaseD, ReD), and evaluate run-time policies
 // over the stored databases under the Monte-Carlo QoS process.
 
+#include "common/hash.hpp"
 #include "dse/design_time.hpp"
 #include "experiments/app.hpp"
 #include "runtime/mdp_policy.hpp"
@@ -53,6 +54,10 @@ FlowResult run_design_flow(const AppInstance& app, const FlowParams& params, uti
 /// process), evaluated beside the learned agents.
 enum class PolicyKind { Baseline, Ura, Aura, Mdp };
 
+/// Lower-case name ("baseline", "ura", "aura", "mdp"): the CLI's --policy
+/// values and the reports' "policy" field.
+const char* policy_name(PolicyKind kind);
+
 struct RuntimeEvalParams {
   PolicyKind kind = PolicyKind::Ura;
   double p_rc = 0.5;
@@ -68,8 +73,8 @@ struct RuntimeEvalParams {
   flt::FaultParams faults{};
   /// Per-PE fault profiles (index = PeId). Empty: evaluate_policy and
   /// exp::Runner cells with an app derive them from the app's platform
-  /// (AVF / βp); the app-less evaluate_policy_with path substitutes uniform
-  /// defaults.
+  /// (with_platform_fault_profiles); the app-less evaluate_policy_with path
+  /// substitutes uniform defaults.
   std::vector<flt::PeFaultProfile> fault_profiles;
   /// Offline MDP planning knobs (PolicyKind::Mdp only).
   rt::MdpPolicyParams mdp{};
@@ -79,6 +84,18 @@ struct RuntimeEvalParams {
   bool prefetch = false;
   rt::PrefetchParams prefetch_params{};
 };
+
+/// `params` with its per-PE fault profiles derived from `platform` (AVF /
+/// βp) when faults are on and none are given; otherwise `params` unchanged.
+RuntimeEvalParams with_platform_fault_profiles(RuntimeEvalParams params,
+                                               const plat::Platform& platform);
+
+/// Fold every result-affecting field of `params` plus the QoS box into `h`:
+/// the shared core of Runner::grid_hash and fleet::fleet_param_hash.
+/// Thread counts and other bit-identical knobs never enter; MDP planning and
+/// prefetch knobs enter only when that policy / the wrapper is in play.
+void hash_eval_params(util::Fnv1a& h, const RuntimeEvalParams& params,
+                      const dse::MetricRanges& ranges);
 
 /// Evaluate one policy over one database. `ranges` defines the QoS process
 /// (pass the same ranges when comparing databases so both see the same
@@ -103,13 +120,24 @@ rt::RuntimeStats evaluate_policy(const AppInstance& app, const dse::DesignDb& db
 /// AppInstance at all (tests, what-if cost tables). `clr_space` gives fault
 /// injection the struck task's CLR coverage; nullptr falls back to
 /// FaultParams::fallback_coverage. `mdp_table` optionally supplies a
-/// prebuilt MDP plan for PolicyKind::Mdp (fleet sweeps share one table
-/// across devices; snapshots persist them) — nullptr builds it on the fly,
-/// bit-identically, since planning is deterministic.
+/// prebuilt MDP plan for PolicyKind::Mdp (nullptr builds it on the fly,
+/// bit-identically, since planning is deterministic). Builds the QoS process
+/// and simulator for `ranges`/`params` and runs evaluate_device.
 rt::RuntimeStats evaluate_policy_with(const dse::DesignDb& db, const rt::DrcMatrix& drc,
                                       const dse::MetricRanges& ranges,
                                       const RuntimeEvalParams& params, std::uint64_t seed,
                                       const rel::ClrSpace* clr_space = nullptr,
                                       const rt::MdpTable* mdp_table = nullptr);
+
+/// The one simulation of one device (or one replication) that every
+/// evaluation path runs: the SplitMix64 stream of `seed` (pre-training seed,
+/// evaluation seed, then the fault seed only when faults are on), the fault
+/// scenario, the policy, AuRA pre-training, the MDP plan and the optional
+/// prefetch wrap. `qos` and `sim` are the prebuilt plant — both are stateless
+/// across runs, so callers simulating many devices build them once.
+rt::RuntimeStats evaluate_device(const dse::DesignDb& db, const rt::DrcMatrix& drc,
+                                 const rt::QosProcess& qos, const rt::RuntimeSimulator& sim,
+                                 const RuntimeEvalParams& params, std::uint64_t seed,
+                                 const rel::ClrSpace* clr_space, const rt::MdpTable* mdp_table);
 
 }  // namespace clr::exp

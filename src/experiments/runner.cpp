@@ -9,39 +9,9 @@
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "faults/fault_model.hpp"
 #include "trace/trace.hpp"
 
 namespace clr::exp {
-
-namespace {
-
-const char* policy_name(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::Baseline: return "baseline";
-    case PolicyKind::Ura: return "ura";
-    case PolicyKind::Aura: return "aura";
-    case PolicyKind::Mdp: return "mdp";
-  }
-  return "unknown";
-}
-
-// FNV-1a64 accumulation over raw bytes (same constants as the snapshot
-// checksum and hash_configuration).
-void hash_bytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-}
-
-template <typename T>
-void hash_value(std::uint64_t& h, T v) {
-  hash_bytes(h, &v, sizeof v);
-}
-
-}  // namespace
 
 ReplicatedStats replicate_stats(const std::vector<rt::RuntimeStats>& runs) {
   util::RunningStats events, reconfigs, infeasible, energy, total_cost, avg_cost, max_drc;
@@ -110,10 +80,10 @@ std::size_t Runner::add_cell(RunnerCell cell) {
   if (cell.drc != nullptr && cell.drc->size() != cell.db->size()) {
     throw std::invalid_argument("Runner::add_cell: drc size must match db size");
   }
-  if (cell.app != nullptr && cell.params.faults.enabled() && cell.params.fault_profiles.empty()) {
+  if (cell.app != nullptr) {
     // The same per-PE heterogeneity exp::evaluate_policy derives from the
-    // app's platform (AVF / βp); only app-less cells keep uniform profiles.
-    cell.params.fault_profiles = flt::profiles_from_platform(cell.app->platform());
+    // app's platform; only app-less cells keep uniform profiles.
+    cell.params = with_platform_fault_profiles(std::move(cell.params), cell.app->platform());
   }
   metrics_.counter("runner.cells").add();
   cells_.push_back(std::move(cell));
@@ -123,60 +93,17 @@ std::size_t Runner::add_cell(RunnerCell cell) {
 std::vector<CellResult> Runner::run() { return run(RunnerControl{}).results; }
 
 std::uint64_t Runner::grid_hash() const {
-  const std::size_t reps = std::max<std::size_t>(config_.replications, 1);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  hash_value<std::uint64_t>(h, reps);
-  hash_value<std::uint64_t>(h, cells_.size());
+  util::Fnv1a h;
+  h.value<std::uint64_t>(std::max<std::size_t>(config_.replications, 1));
+  h.value<std::uint64_t>(cells_.size());
   for (const auto& cell : cells_) {
-    hash_value<std::uint64_t>(h, cell.label.size());
-    hash_bytes(h, cell.label.data(), cell.label.size());
-    hash_value<std::uint64_t>(h, cell.seed);
-    hash_value<std::uint32_t>(h, static_cast<std::uint32_t>(cell.params.kind));
-    hash_value<double>(h, cell.params.p_rc);
-    hash_value<double>(h, cell.params.pretrain_cycles);
-    hash_value<std::uint64_t>(h, cell.params.pretrain_sweeps);
-    hash_value<std::uint8_t>(h, cell.params.pretrain ? 1 : 0);
-    hash_value<double>(h, cell.params.sim.total_cycles);
-    hash_value<double>(h, cell.params.sim.episode_cycles);
-    hash_value<double>(h, cell.params.faults.transient_rate);
-    hash_value<double>(h, cell.params.faults.pe_mtbf);
-    hash_value<double>(h, cell.params.faults.recovery_latency);
-    hash_value<double>(h, cell.params.faults.reexec_energy_factor);
-    hash_value<double>(h, cell.params.faults.qos_tolerance);
-    hash_value<double>(h, cell.params.faults.fallback_coverage);
-    hash_value<std::uint64_t>(h, cell.db->size());
-    hash_value<double>(h, cell.ranges.energy_min);
-    hash_value<double>(h, cell.ranges.energy_max);
-    hash_value<double>(h, cell.ranges.makespan_min);
-    hash_value<double>(h, cell.ranges.makespan_max);
-    hash_value<double>(h, cell.ranges.func_rel_min);
-    hash_value<double>(h, cell.ranges.func_rel_max);
-    // New-policy knobs only enter the hash when they are actually in play,
-    // so every pre-existing grid keeps its historical hash (checkpoints
-    // recorded before this version still resume).
-    if (cell.params.kind == PolicyKind::Mdp) {
-      hash_value<std::uint64_t>(h, cell.params.mdp.makespan_bins);
-      hash_value<std::uint64_t>(h, cell.params.mdp.func_rel_bins);
-      hash_value<double>(h, cell.params.mdp.gamma);
-      hash_value<double>(h, cell.params.mdp.tolerance);
-      hash_value<std::uint64_t>(h, cell.params.mdp.max_sweeps);
-    }
-    if (cell.params.prefetch) {
-      hash_value<std::uint8_t>(h, 1);
-      hash_value<std::uint64_t>(h, cell.params.prefetch_params.min_observations);
-    }
-    // The per-PE profiles the faults are injected with (app cells carry the
-    // platform-derived ones from add_cell); app-less cells that run with the
-    // uniform defaults keep their historical hash.
-    if (cell.params.faults.enabled() && !cell.params.fault_profiles.empty()) {
-      hash_value<std::uint64_t>(h, cell.params.fault_profiles.size());
-      for (const auto& profile : cell.params.fault_profiles) {
-        hash_value<double>(h, profile.ser_scale);
-        hash_value<double>(h, profile.weibull_shape);
-      }
-    }
+    h.value<std::uint64_t>(cell.label.size());
+    h.bytes(cell.label.data(), cell.label.size());
+    h.value<std::uint64_t>(cell.seed);
+    h.value<std::uint64_t>(cell.db->size());
+    hash_eval_params(h, cell.params, cell.ranges);
   }
-  return h;
+  return h.digest();
 }
 
 RunOutcome Runner::run(const RunnerControl& control) {

@@ -183,10 +183,11 @@ class Runner {
   /// to the uninterrupted run at any `jobs` count.
   RunOutcome run(const RunnerControl& control);
 
-  /// FNV-1a over the grid's result-affecting identity: cell labels, seeds,
-  /// policy/p_rc/simulation/fault parameters and (faults on) per-PE fault
-  /// profiles, db sizes, QoS ranges and the replication count. Deliberately excludes `jobs` (thread count never
-  /// affects results) and wall-clock observability.
+  /// FNV-1a over the grid's result-affecting identity: the replication
+  /// count, and per cell its label, seed, db size and every evaluation
+  /// parameter plus QoS box (hash_eval_params, shared with the fleet hash).
+  /// Deliberately excludes `jobs` (thread count never affects results) and
+  /// wall-clock observability.
   std::uint64_t grid_hash() const;
 
   const RunnerConfig& config() const { return config_; }

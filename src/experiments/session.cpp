@@ -10,100 +10,73 @@ namespace clr::exp {
 
 namespace {
 
-void hash_bytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-}
-
-template <typename T>
-void hash_value(std::uint64_t& h, T v) {
-  hash_bytes(h, &v, sizeof v);
-}
-
-void hash_ga(std::uint64_t& h, const moea::GaParams& ga) {
-  hash_value<std::uint64_t>(h, ga.population);
-  hash_value<std::uint64_t>(h, ga.generations);
-  hash_value<double>(h, ga.crossover_prob);
-  hash_value<double>(h, ga.mutation_prob);
-  hash_value<std::uint64_t>(h, ga.tournament_size);
+void hash_ga(util::Fnv1a& h, const moea::GaParams& ga) {
+  h.value<std::uint64_t>(ga.population);
+  h.value<std::uint64_t>(ga.generations);
+  h.value<double>(ga.crossover_prob);
+  h.value<double>(ga.mutation_prob);
+  h.value<std::uint64_t>(ga.tournament_size);
   // ga.threads deliberately excluded: thread count never affects results.
 }
 
-void validate(const SessionControl& control) {
+}  // namespace
+
+SessionState::SessionState(const SessionControl& control, SessionOutcome& out)
+    : control_(control), out_(out) {
   if (control.checkpoint_every == 0) {
     throw std::invalid_argument("session: checkpoint_every must be >= 1");
   }
   if (control.resume && control.checkpoint_path.empty()) {
     throw std::invalid_argument("session: resume requires a checkpoint path");
   }
+  if (!control.checkpoint_path.empty()) store_.emplace(control.checkpoint_path);
 }
 
-}  // namespace
+void SessionState::step() {
+  out_.steps += 1;
+  if (control_.step_budget != 0 && out_.steps >= control_.step_budget) {
+    stop_.request_stop(util::StopReason::Budget);
+  }
+  if (control_.stop.stop_requested()) stop_.request_stop(control_.stop.reason());
+}
 
 std::uint64_t explore_param_hash(const AppInstance& app, const FlowParams& params,
                                  std::uint64_t flow_seed) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  hash_value<std::uint64_t>(h, app.graph().num_tasks());
-  hash_value<std::uint64_t>(h, app.graph().num_edges());
-  hash_value<std::uint64_t>(h, app.platform().num_pes());
-  hash_value<std::uint64_t>(h, app.platform().num_pe_types());
-  hash_value<std::uint64_t>(h, app.clr_space().size());
-  hash_value<std::uint64_t>(h, flow_seed);
-  hash_value<std::uint32_t>(h, static_cast<std::uint32_t>(params.mode));
-  hash_value<std::uint64_t>(h, params.spec_samples);
-  hash_value<double>(h, params.makespan_quantile);
-  hash_value<double>(h, params.func_rel_quantile);
+  util::Fnv1a h;
+  h.value<std::uint64_t>(app.graph().num_tasks());
+  h.value<std::uint64_t>(app.graph().num_edges());
+  h.value<std::uint64_t>(app.platform().num_pes());
+  h.value<std::uint64_t>(app.platform().num_pe_types());
+  h.value<std::uint64_t>(app.clr_space().size());
+  h.value<std::uint64_t>(flow_seed);
+  h.value<std::uint32_t>(static_cast<std::uint32_t>(params.mode));
+  h.value<std::uint64_t>(params.spec_samples);
+  h.value<double>(params.makespan_quantile);
+  h.value<double>(params.func_rel_quantile);
   hash_ga(h, params.dse.base_ga);
   hash_ga(h, params.dse.red_ga);
-  hash_value<double>(h, params.dse.tol_makespan_band);
-  hash_value<double>(h, params.dse.tol_func_rel_band);
-  hash_value<double>(h, params.dse.tol_energy);
-  hash_value<std::uint64_t>(h, params.dse.extras_per_seed);
-  hash_value<std::uint64_t>(h, params.dse.max_red_seeds);
-  hash_value<std::uint64_t>(h, params.dse.calibration_samples);
-  hash_value<std::uint8_t>(h, params.dse.heft_seeding ? 1 : 0);
-  hash_value<std::uint64_t>(h, params.dse.max_base_points);
+  h.value<double>(params.dse.tol_makespan_band);
+  h.value<double>(params.dse.tol_func_rel_band);
+  h.value<double>(params.dse.tol_energy);
+  h.value<std::uint64_t>(params.dse.extras_per_seed);
+  h.value<std::uint64_t>(params.dse.max_red_seeds);
+  h.value<std::uint64_t>(params.dse.calibration_samples);
+  h.value<std::uint8_t>(params.dse.heft_seeding ? 1 : 0);
+  h.value<std::uint64_t>(params.dse.max_base_points);
   // dse.threads, dse.batched_eval and dse.eval_cache_capacity deliberately
   // excluded: all three are bit-identical performance knobs (DESIGN.md §5.6,
   // §5.10), so a checkpoint taken at --jobs 8 resumes fine at --jobs 1.
-  return h;
+  return h.digest();
 }
 
 ExploreOutcome run_explore_session(const AppInstance& app, const FlowParams& params,
                                    std::uint64_t flow_seed, const SessionControl& control) {
-  validate(control);
-  const std::uint64_t param_hash = explore_param_hash(app, params, flow_seed);
-
-  // The session's own stop source merges every stop signal: the external
-  // token (signals, deadlines) is forwarded at each boundary, the step
-  // budget arms it directly. Engines only ever see this merged token.
-  util::StopSource session_stop;
-  util::RunBudget budget(session_stop, control.step_budget);
-
-  std::optional<io::CheckpointStore> store;
-  if (!control.checkpoint_path.empty()) store.emplace(control.checkpoint_path);
-
-  std::optional<io::ExploreCheckpoint> restored;
-  if (control.resume && store) {
-    if (auto snapshot = store->load_newest()) {
-      io::ExploreCheckpoint c = io::decode_explore_checkpoint(snapshot->view());
-      if (c.param_hash != param_hash) {
-        throw std::runtime_error(
-            "explore resume: the checkpoint was taken under different parameters (hash " +
-            std::to_string(c.param_hash) + ", this run computes " + std::to_string(param_hash) +
-            ")");
-      }
-      restored = std::move(c);
-    }
-    // No loadable checkpoint: start fresh, so the first run and every
-    // resumed run share one command line.
-  }
-
   ExploreOutcome out;
-  out.resumed = restored.has_value();
+  SessionState session(control, out);
+  const std::uint64_t param_hash = explore_param_hash(app, params, flow_seed);
+  const std::optional<io::ExploreCheckpoint> restored =
+      session.resume(&io::decode_explore_checkpoint, &io::ExploreCheckpoint::param_hash,
+                     param_hash, "flow");
 
   util::Rng rng(flow_seed);
   FlowResult flow;
@@ -122,21 +95,17 @@ ExploreOutcome run_explore_session(const AppInstance& app, const FlowParams& par
   recfg::ReconfigModel reconfig(app.platform(), app.impls());
   dse::DesignTimeDse dse_flow(problem, reconfig, params.dse);
 
-  // Shared boundary bookkeeping: count the step, fold in external stop and
-  // budget, then decide whether this boundary becomes a durable checkpoint
-  // (every Nth, and always the one we stop on).
+  // Shared boundary bookkeeping: count the step (the session folds in the
+  // external stop and the budget), then decide whether this boundary becomes
+  // a durable checkpoint (every Nth, and always the one we stop on).
   auto boundary = [&](io::ExploreCheckpoint&& c) {
-    out.steps += 1;
-    budget.step();
-    if (control.stop.stop_requested()) session_stop.request_stop(control.stop.reason());
-    const bool stopping = session_stop.stop_requested();
-    if (store && (stopping || out.steps % control.checkpoint_every == 0)) {
-      c.sequence = store->next_sequence();
+    session.step();
+    if (session.checkpointing() &&
+        (session.stopping() || out.steps % control.checkpoint_every == 0)) {
       c.param_hash = param_hash;
       c.spec_max_makespan = flow.spec.max_makespan;
       c.spec_min_func_rel = flow.spec.min_func_rel;
-      store->save(io::serialize_explore_checkpoint(c));
-      out.checkpoints_written += 1;
+      session.save(c, &io::serialize_explore_checkpoint);
     }
   };
 
@@ -147,7 +116,7 @@ ExploreOutcome run_explore_session(const AppInstance& app, const FlowParams& par
     flow.based = restored->based;
   } else {
     dse::BaseControl base_control;
-    base_control.stop = session_stop.token();
+    base_control.stop = session.token();
     dse::BaseProgress base_resume;
     if (restored) {
       base_resume.ref = restored->ref;
@@ -170,7 +139,7 @@ ExploreOutcome run_explore_session(const AppInstance& app, const FlowParams& par
   if (!base_complete) {
     out.flow = std::move(flow);
     out.complete = false;
-    out.stop_reason = session_stop.reason();
+    session.finish();
     return out;
   }
   if (flow.based.empty()) {
@@ -179,7 +148,7 @@ ExploreOutcome run_explore_session(const AppInstance& app, const FlowParams& par
 
   // Stage 2: ReD.
   dse::RedControl red_control;
-  red_control.stop = session_stop.token();
+  red_control.stop = session.token();
   dse::RedProgress red_resume;
   if (restored && restored->stage == 1) {
     red_resume.seed_pos = static_cast<std::size_t>(restored->red_seed_pos);
@@ -200,68 +169,49 @@ ExploreOutcome run_explore_session(const AppInstance& app, const FlowParams& par
   flow.red = std::move(red.db);
   out.complete = red.complete;
   out.flow = std::move(flow);
-  out.stop_reason = session_stop.reason();
+  session.finish();
   return out;
 }
 
 RunnerOutcome run_runner_session(Runner& runner, const SessionControl& control) {
-  validate(control);
-  const std::uint64_t grid_hash = runner.grid_hash();
-
-  util::StopSource session_stop;
-  util::RunBudget budget(session_stop, control.step_budget);
-
-  std::optional<io::CheckpointStore> store;
-  if (!control.checkpoint_path.empty()) store.emplace(control.checkpoint_path);
-
   RunnerOutcome out;
+  SessionState session(control, out);
+  std::optional<io::RunnerCheckpoint> restored_checkpoint =
+      session.resume(&io::decode_runner_checkpoint, &io::RunnerCheckpoint::grid_hash,
+                     runner.grid_hash(), "grid");
+
   RunnerProgress restored;
   RunnerControl runner_control;
-  runner_control.stop = session_stop.token();
+  runner_control.stop = session.token();
   // One wave of checkpoint_every jobs between boundaries: the runner's
   // batch size IS the checkpoint cadence.
   runner_control.batch_size = control.checkpoint_every;
-
-  if (control.resume && store) {
-    if (auto snapshot = store->load_newest()) {
-      io::RunnerCheckpoint c = io::decode_runner_checkpoint(snapshot->view());
-      if (c.grid_hash != grid_hash) {
-        throw std::runtime_error(
-            "runner resume: the checkpoint was taken for a different grid (hash " +
-            std::to_string(c.grid_hash) + ", this grid computes " + std::to_string(grid_hash) +
-            ")");
-      }
-      restored.grid_hash = c.grid_hash;
-      restored.replications = static_cast<std::size_t>(c.replications);
-      restored.done = std::move(c.done);
-      restored.runs = std::move(c.runs);
-      runner_control.resume = &restored;
-      out.resumed = true;
-    }
+  if (restored_checkpoint) {
+    restored.grid_hash = restored_checkpoint->grid_hash;
+    restored.replications = static_cast<std::size_t>(restored_checkpoint->replications);
+    restored.done = std::move(restored_checkpoint->done);
+    restored.runs = std::move(restored_checkpoint->runs);
+    runner_control.resume = &restored;
   }
 
   std::size_t checkpointed_jobs = out.resumed ? restored.jobs_done() : 0;
   runner_control.on_batch = [&](const RunnerProgress& progress) {
-    out.steps += 1;
-    budget.step();
-    if (control.stop.stop_requested()) session_stop.request_stop(control.stop.reason());
+    session.step();
     // Every batch is a checkpoint boundary; skip the write only when no new
     // job finished (a stop can interrupt a wave before any claim).
-    if (store && progress.jobs_done() != checkpointed_jobs) {
+    if (session.checkpointing() && progress.jobs_done() != checkpointed_jobs) {
       io::RunnerCheckpoint c;
-      c.sequence = store->next_sequence();
       c.grid_hash = progress.grid_hash;
       c.replications = progress.replications;
       c.done = progress.done;
       c.runs = progress.runs;
-      store->save(io::serialize_runner_checkpoint(c));
-      out.checkpoints_written += 1;
+      session.save(c, &io::serialize_runner_checkpoint);
       checkpointed_jobs = progress.jobs_done();
     }
   };
 
   out.run = runner.run(runner_control);
-  out.stop_reason = session_stop.reason();
+  session.finish();
   return out;
 }
 

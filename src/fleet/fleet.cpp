@@ -11,10 +11,8 @@
 #include <utility>
 
 #include "common/parallel.hpp"
-#include "common/rng.hpp"
 #include "fleet/spsc_queue.hpp"
 #include "io/checkpoint.hpp"
-#include "runtime/policy.hpp"
 #include "runtime/qos_process.hpp"
 #include "runtime/simulator.hpp"
 
@@ -30,19 +28,6 @@ struct DeviceBatch {
   std::uint32_t count = 0;
   std::array<DeviceResult, kBatchDevices> results;
 };
-
-void hash_bytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-}
-
-template <typename T>
-void hash_value(std::uint64_t& h, T v) {
-  hash_bytes(h, &v, sizeof v);
-}
 
 DeviceResult to_result(std::uint64_t device, const rt::RuntimeStats& s) {
   DeviceResult r;
@@ -90,68 +75,19 @@ void validate_config(const FleetConfig& config) {
 }  // namespace
 
 std::uint64_t device_seed(std::uint64_t base, std::uint64_t device) {
-  util::SplitMix64 mix(base + 0x9e3779b97f4a7c15ULL * device);
-  return mix.next();
+  return exp::replication_seed(base, static_cast<std::size_t>(device));
 }
 
 std::uint64_t fleet_param_hash(const FleetConfig& config) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  hash_value<std::uint64_t>(h, config.devices);
-  hash_value<std::uint64_t>(h, config.seed);
-  hash_value<std::uint64_t>(h, config.block_size);
-  const exp::RuntimeEvalParams& p = config.params;
-  hash_value<std::uint32_t>(h, static_cast<std::uint32_t>(p.kind));
-  hash_value<double>(h, p.p_rc);
-  hash_value<double>(h, p.aura.gamma);
-  hash_value<double>(h, p.aura.alpha);
-  hash_value<double>(h, p.aura.guard);
-  hash_value<double>(h, p.aura.initial_value);
-  hash_value<double>(h, p.pretrain_cycles);
-  hash_value<std::uint64_t>(h, p.pretrain_sweeps);
-  hash_value<std::uint8_t>(h, p.pretrain ? 1 : 0);
-  hash_value<double>(h, p.sim.total_cycles);
-  hash_value<double>(h, p.sim.episode_cycles);
-  hash_value<double>(h, p.qos.makespan_mean_frac);
-  hash_value<double>(h, p.qos.makespan_sd_frac);
-  hash_value<double>(h, p.qos.func_rel_mean_frac);
-  hash_value<double>(h, p.qos.func_rel_sd_frac);
-  hash_value<double>(h, p.qos.rho);
-  hash_value<double>(h, p.qos.ar1_phi);
-  hash_value<double>(h, p.qos.mean_event_gap);
-  hash_value<double>(h, p.faults.transient_rate);
-  hash_value<double>(h, p.faults.pe_mtbf);
-  hash_value<double>(h, p.faults.recovery_latency);
-  hash_value<double>(h, p.faults.reexec_energy_factor);
-  hash_value<double>(h, p.faults.qos_tolerance);
-  hash_value<double>(h, p.faults.fallback_coverage);
-  hash_value<std::uint64_t>(h, p.fault_profiles.size());
-  for (const auto& profile : p.fault_profiles) {
-    hash_value<double>(h, profile.ser_scale);
-    hash_value<double>(h, profile.weibull_shape);
-  }
-  hash_value<double>(h, config.ranges.energy_min);
-  hash_value<double>(h, config.ranges.energy_max);
-  hash_value<double>(h, config.ranges.makespan_min);
-  hash_value<double>(h, config.ranges.makespan_max);
-  hash_value<double>(h, config.ranges.func_rel_min);
-  hash_value<double>(h, config.ranges.func_rel_max);
-  // New-policy knobs enter the hash only when in play, keeping every
-  // pre-existing fleet's hash (and its resumable checkpoints) stable.
-  if (p.kind == exp::PolicyKind::Mdp) {
-    hash_value<std::uint64_t>(h, p.mdp.makespan_bins);
-    hash_value<std::uint64_t>(h, p.mdp.func_rel_bins);
-    hash_value<double>(h, p.mdp.gamma);
-    hash_value<double>(h, p.mdp.tolerance);
-    hash_value<std::uint64_t>(h, p.mdp.max_sweeps);
-  }
-  if (p.prefetch) {
-    hash_value<std::uint8_t>(h, 1);
-    hash_value<std::uint64_t>(h, p.prefetch_params.min_observations);
-  }
+  util::Fnv1a h;
+  h.value<std::uint64_t>(config.devices);
+  h.value<std::uint64_t>(config.seed);
+  h.value<std::uint64_t>(config.block_size);
+  exp::hash_eval_params(h, config.params, config.ranges);
   // shards, jobs and queue_capacity deliberately excluded: partitioning and
   // flow-control knobs never affect results (the determinism rule), so a
   // checkpoint taken at any --shards/--jobs resumes at any other.
-  return h;
+  return h.digest();
 }
 
 std::uint64_t fleet_num_blocks(const FleetConfig& config) {
@@ -179,70 +115,9 @@ DeviceResult simulate_device(const dse::DesignDb& db, const rt::DrcMatrix& drc,
                              const exp::RuntimeEvalParams& params,
                              const rel::ClrSpace* clr_space, std::uint64_t device,
                              std::uint64_t fleet_seed, const rt::MdpTable* mdp_table) {
-  // Mirrors exp::evaluate_policy_with field by field: same SplitMix64 stream
-  // discipline (pretrain, eval, then the fault seed only when faults are
-  // enabled), same policy construction, same pre-training. That makes every
-  // fleet device bit-identical to a standalone evaluate_policy_with call —
-  // pinned by tests/fleet/test_fleet_determinism.cpp.
-  util::SplitMix64 mix(device_seed(fleet_seed, device));
-  // The pre-training seed is always drawn (the stream stays fixed), but its
-  // engine is only seeded when pre-training actually runs.
-  const std::uint64_t pretrain_seed = mix.next();
-  util::Rng eval_rng(mix.next());
-
-  flt::FaultScenario scenario;
-  const flt::FaultScenario* active_scenario = nullptr;
-  if (params.faults.enabled()) {
-    params.faults.validate();
-    scenario.params = params.faults;
-    scenario.profiles = params.fault_profiles;
-    scenario.seed = mix.next();
-    scenario.clr_space = clr_space;
-    active_scenario = &scenario;
-  }
-
-  // Prefetch wrapping mirrors evaluate_policy_with: selection-transparent,
-  // so the wrapper only fills the stall/hidden split of the result.
-  const auto run_with = [&](rt::AdaptationPolicy& policy) {
-    if (params.prefetch) {
-      rt::PrefetchPolicy wrapped(policy, db, drc, params.prefetch_params);
-      return to_result(device, sim.run(db, wrapped, qos, eval_rng, active_scenario));
-    }
-    return to_result(device, sim.run(db, policy, qos, eval_rng, active_scenario));
-  };
-
-  switch (params.kind) {
-    case exp::PolicyKind::Baseline: {
-      rt::BaselinePolicy policy(db, drc);
-      return run_with(policy);
-    }
-    case exp::PolicyKind::Ura: {
-      rt::UraPolicy policy(db, drc, params.p_rc);
-      return run_with(policy);
-    }
-    case exp::PolicyKind::Aura: {
-      rt::AuraPolicy policy(db, drc, params.p_rc, params.aura);
-      if (params.pretrain) {
-        util::Rng pretrain_rng(pretrain_seed);
-        rt::pretrain_aura(policy, db, qos, params.pretrain_cycles, params.pretrain_sweeps,
-                          pretrain_rng);
-      }
-      return run_with(policy);
-    }
-    case exp::PolicyKind::Mdp: {
-      rt::MdpTable built;
-      if (mdp_table == nullptr) {
-        // Per-device rebuild: bit-identical to the fleet-shared table (the
-        // offline solve is RNG-free), only slower. run_fleet always shares.
-        built = rt::build_mdp_table(db, drc, qos.ranges(), params.p_rc, params.qos,
-                                    params.faults, params.mdp);
-        mdp_table = &built;
-      }
-      rt::MdpPolicy policy(db, drc, *mdp_table);
-      return run_with(policy);
-    }
-  }
-  throw std::logic_error("fleet: unknown policy kind");
+  return to_result(device, exp::evaluate_device(db, drc, qos, sim, params,
+                                                device_seed(fleet_seed, device), clr_space,
+                                                mdp_table));
 }
 
 FleetSummary summarize(const FleetProgress& progress) {
@@ -455,62 +330,29 @@ FleetResult run_fleet(const dse::DesignDb& db, const rt::DrcMatrix& drc,
 FleetSessionOutcome run_fleet_session(const dse::DesignDb& db, const rt::DrcMatrix& drc,
                                       const rel::ClrSpace* clr_space, const FleetConfig& config,
                                       const exp::SessionControl& control) {
-  if (control.checkpoint_every == 0) {
-    throw std::invalid_argument("fleet session: checkpoint_every must be >= 1");
-  }
-  if (control.resume && control.checkpoint_path.empty()) {
-    throw std::invalid_argument("fleet session: resume requires a checkpoint path");
-  }
-  const std::uint64_t param_hash = fleet_param_hash(config);
-
-  // The session's own stop source merges every stop signal (the
-  // exp::run_*_session discipline): the external token is forwarded at each
-  // block boundary, the step budget (in blocks) arms it directly.
-  util::StopSource session_stop;
-  util::RunBudget budget(session_stop, control.step_budget);
-
-  std::optional<io::CheckpointStore> store;
-  if (!control.checkpoint_path.empty()) store.emplace(control.checkpoint_path);
-
   FleetSessionOutcome out;
-  std::optional<FleetProgress> restored;
-  if (control.resume && store) {
-    if (auto snapshot = store->load_newest()) {
-      io::FleetCheckpoint c = io::decode_fleet_checkpoint(snapshot->view());
-      if (c.param_hash != param_hash) {
-        throw std::runtime_error(
-            "fleet resume: the checkpoint was taken under different parameters (hash " +
-            std::to_string(c.param_hash) + ", this run computes " + std::to_string(param_hash) +
-            ")");
-      }
-      restored = std::move(c.progress);
-      out.resumed = true;
-    }
-    // No loadable checkpoint: start fresh, so the first run and every
-    // resumed run share one command line.
-  }
+  exp::SessionState session(control, out);
+  const std::uint64_t param_hash = fleet_param_hash(config);
+  std::optional<io::FleetCheckpoint> restored =
+      session.resume(&io::decode_fleet_checkpoint, &io::FleetCheckpoint::param_hash, param_hash,
+                     "fleet");
 
   FleetControl fleet_control;
-  fleet_control.stop = session_stop.token();
-  fleet_control.resume = restored ? &*restored : nullptr;
-  fleet_control.on_block = [&](std::uint64_t, std::uint64_t) {
-    budget.step();
-    if (control.stop.stop_requested()) session_stop.request_stop(control.stop.reason());
-  };
-  if (store) {
+  fleet_control.stop = session.token();
+  fleet_control.resume = restored ? &restored->progress : nullptr;
+  fleet_control.on_block = [&](std::uint64_t, std::uint64_t) { session.step(); };
+  if (session.checkpointing()) {
     fleet_control.checkpoint_every = control.checkpoint_every;
     fleet_control.on_checkpoint = [&](const FleetProgress& progress) {
       io::FleetCheckpoint c;
-      c.sequence = store->next_sequence();
       c.param_hash = param_hash;
       c.progress = progress;
-      store->save(io::serialize_fleet_checkpoint(c));
-      out.checkpoints_written += 1;
+      session.save(c, &io::serialize_fleet_checkpoint);
     };
   }
 
   out.result = run_fleet(db, drc, clr_space, config, fleet_control);
-  out.stop_reason = session_stop.reason();
+  session.finish();
   return out;
 }
 

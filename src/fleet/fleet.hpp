@@ -19,10 +19,11 @@
 //     that touches shared aggregates, so the pipeline needs no locks at all.
 //
 // Determinism rule (absolute): every aggregate is bit-identical at any
-// shards/jobs combination. Per-device SplitMix64 seeding (fleet::device_seed)
-// makes each device's simulation a pure function of (fleet seed, device id);
-// the block structure pins every floating-point association order (see
-// progress.hpp). Proven by tests/fleet/test_fleet_determinism.cpp.
+// shards/jobs combination. Each device runs exp::evaluate_device (the body
+// every Runner replication runs) under device_seed(fleet seed, device id), so
+// it is a pure function of that pair; the block structure pins every
+// floating-point association order (see progress.hpp). Proven by
+// tests/fleet/test_fleet_determinism.cpp.
 //
 // Checkpoint/resume reuses PR 8's machinery: completed BlockSums persist as
 // a FleetState section in a `.clrdb` checkpoint through the A/B
@@ -61,8 +62,8 @@ struct FleetConfig {
   /// Device batches in flight per worker queue before backpressure.
   std::size_t queue_capacity = 64;
   /// Per-device evaluation knobs: policy kind, pRC, simulation horizon, QoS
-  /// process, fault environment. Mirrors exp::evaluate_policy_with exactly —
-  /// fleet device d is bit-identical to
+  /// process, fault environment. Device d runs exp::evaluate_device with
+  /// these, so it is bit-identical to
   /// `evaluate_policy_with(db, drc, ranges, params, device_seed(seed, d))`.
   exp::RuntimeEvalParams params{};
   /// QoS-requirement box the per-device QoS processes sample from.
@@ -122,13 +123,14 @@ struct FleetResult {
   double devices_per_second = 0.0;///< devices simulated this run / wall time
 };
 
-/// Seed for device `d` of a fleet seeded with `base`: SplitMix64 expansion
-/// (the exp::replication_seed idiom), so consecutive ids get decorrelated
-/// streams and the mapping never depends on shard/thread placement.
+/// Seed for device `d` of a fleet seeded with `base`: exp::replication_seed
+/// (a SplitMix64 expansion), so consecutive ids get decorrelated streams and
+/// the mapping never depends on shard/thread placement.
 std::uint64_t device_seed(std::uint64_t base, std::uint64_t device);
 
 /// FNV-1a over every result-affecting fleet parameter: devices, seed,
-/// block_size, policy/simulation/QoS/fault knobs and the ranges box.
+/// block_size, then exp::hash_eval_params over the evaluation knobs and the
+/// ranges box.
 /// Deliberately excludes shards, jobs and queue_capacity — pure partitioning
 /// knobs, so a checkpoint taken at --shards 16 --jobs 8 resumes fine at
 /// --shards 1 --jobs 1.
@@ -143,10 +145,9 @@ std::uint64_t fleet_num_blocks(const FleetConfig& config);
 std::pair<std::uint64_t, std::uint64_t> shard_block_range(std::uint64_t num_blocks,
                                                           std::size_t shards, std::size_t s);
 
-/// Simulate one device exactly as the fleet pipeline does: the per-device
-/// slice of exp::evaluate_policy_with against a shared QosProcess +
-/// RuntimeSimulator. Exposed so tests can pin fleet-vs-reference equality
-/// device by device. `mdp_table` supplies the fleet-shared offline plan for
+/// Simulate one device exactly as the fleet pipeline does:
+/// exp::evaluate_device under device_seed(fleet_seed, device), folded into a
+/// DeviceResult. `mdp_table` supplies the fleet-shared offline plan for
 /// PolicyKind::Mdp (nullptr rebuilds it per device — bit-identical, since the
 /// offline solve is deterministic, just slower).
 DeviceResult simulate_device(const dse::DesignDb& db, const rt::DrcMatrix& drc,
@@ -164,13 +165,10 @@ FleetResult run_fleet(const dse::DesignDb& db, const rt::DrcMatrix& drc,
                       const rel::ClrSpace* clr_space, const FleetConfig& config,
                       const FleetControl& control = {});
 
-/// What the session did beyond the fleet result itself (mirrors
-/// exp::ExploreOutcome / exp::RunnerOutcome).
-struct FleetSessionOutcome {
+/// What the session did beyond the fleet result itself (its steps are
+/// completed blocks).
+struct FleetSessionOutcome : exp::SessionOutcome {
   FleetResult result;
-  bool resumed = false;
-  std::uint64_t checkpoints_written = 0;
-  util::StopReason stop_reason = util::StopReason::None;
 };
 
 /// Run a fleet under session control (checkpoint cadence, A/B store, resume

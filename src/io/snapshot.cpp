@@ -7,6 +7,8 @@
 #include <sstream>
 #include <vector>
 
+#include "common/hash.hpp"
+
 #if defined(__unix__) || defined(__APPLE__)
 #define CLR_SNAPSHOT_HAVE_MMAP 1
 #include <fcntl.h>
@@ -40,12 +42,9 @@ constexpr std::uint64_t kMaxDrcPoints = std::uint64_t{1} << 26;
 constexpr std::uint32_t kMaxMdpBins = 1u << 16;
 
 std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
+  util::Fnv1a h;
+  h.bytes(data, size);
+  return h.digest();
 }
 
 std::uint64_t align8(std::uint64_t n) { return (n + 7) & ~std::uint64_t{7}; }

@@ -72,7 +72,6 @@ enum class SnapshotSection : std::uint32_t {
   ClrSpace = 1,      ///< the CLR configuration menu the points index into
   DesignPoints = 2,  ///< columnar DesignDb tables (CSR task assignments)
   DrcMatrix = 3,     ///< optional n×n pairwise reconfiguration costs
-  // 4 is reserved for the sched::CompiledGraph tables (future version).
   ExploreState = 5,  ///< design-flow checkpoint (GA state + stage progress)
   RunnerState = 6,   ///< exp::Runner checkpoint (completed replication jobs)
   FleetState = 7,    ///< fleet::run_fleet checkpoint (completed block sums)

@@ -499,6 +499,38 @@ TEST(Session, GridHashTracksPolicyAndPrefetchOnlyWhenActive) {
             }));
 }
 
+TEST(Session, GridHashTracksAuraAndQosKnobs) {
+  // The grid hash covers every result-affecting evaluation parameter, the
+  // same set the fleet hash covers: a checkpoint taken under one AuRA step
+  // or QoS process must not resume under another.
+  const auto db = make_db();
+  const auto drc = make_drc();
+
+  RunnerConfig config;
+  config.replications = 3;
+
+  auto hash_with = [&](auto mutate) {
+    Runner runner(config);
+    RunnerCell cell;
+    cell.db = &db;
+    cell.drc = &drc;
+    cell.ranges = make_ranges();
+    cell.params.kind = PolicyKind::Aura;
+    cell.params.sim.total_cycles = 2e4;
+    cell.seed = 7;
+    mutate(cell);
+    runner.add_cell(cell);
+    return runner.grid_hash();
+  };
+
+  const std::uint64_t base = hash_with([](RunnerCell&) {});
+  EXPECT_EQ(base, hash_with([](RunnerCell&) {}));
+  EXPECT_NE(base, hash_with([](RunnerCell& cell) { cell.params.aura.gamma *= 0.5; }));
+  EXPECT_NE(base, hash_with([](RunnerCell& cell) { cell.params.aura.guard += 0.1; }));
+  EXPECT_NE(base, hash_with([](RunnerCell& cell) { cell.params.qos.rho += 0.1; }));
+  EXPECT_NE(base, hash_with([](RunnerCell& cell) { cell.params.qos.mean_event_gap *= 2.0; }));
+}
+
 TEST_F(SessionTempDir, ExternalStopIsForwardedAndReported) {
   const auto db = make_db();
   const auto drc = make_drc();

@@ -192,42 +192,71 @@ TEST(FleetSeeding, DeviceSeedIsAPureDecorrelatedFunctionOfBaseAndId) {
   // golden-ratio step.
   const std::uint64_t a = device_seed(1, 0), b = device_seed(1, 1);
   EXPECT_NE(a >> 32, b >> 32);
+  // One seed derivation: a fleet device is a Runner replication.
+  for (const std::uint64_t base : {0ULL, 7ULL, 0xF1EE7ULL}) {
+    for (const std::uint64_t i : {0ULL, 1ULL, 1000ULL}) {
+      EXPECT_EQ(device_seed(base, i), exp::replication_seed(base, i));
+    }
+  }
 }
 
 TEST(FleetSeeding, SimulateDeviceIsBitIdenticalToEvaluatePolicyWith) {
   const auto db = make_db();
   const auto drc = make_drc();
   for (const bool faults : {false, true}) {
-    for (const exp::PolicyKind kind :
-         {exp::PolicyKind::Baseline, exp::PolicyKind::Ura, exp::PolicyKind::Aura}) {
-      FleetConfig config = make_config();
-      config.params.kind = kind;
-      if (faults) enable_faults(config);
-      const rt::QosProcess qos(config.ranges, config.params.qos);
-      const rt::RuntimeSimulator sim(config.params.sim);
-      for (const std::uint64_t device : {0ULL, 17ULL, 95ULL}) {
-        const DeviceResult fleet_result = simulate_device(db, drc, qos, sim, config.params,
-                                                          nullptr, device, config.seed);
-        const rt::RuntimeStats reference = exp::evaluate_policy_with(
-            db, drc, config.ranges, config.params, device_seed(config.seed, device), nullptr);
-        // Bitwise equality (plain EXPECT_EQ on doubles), not approximate: the
-        // fleet path must BE the reference path under the derived seed.
-        EXPECT_EQ(fleet_result.events, reference.num_events);
-        EXPECT_EQ(fleet_result.reconfigs, reference.num_reconfigs);
-        EXPECT_EQ(fleet_result.infeasible_events, reference.num_infeasible_events);
-        EXPECT_EQ(fleet_result.transient_faults, reference.num_transient_faults);
-        EXPECT_EQ(fleet_result.recovered_transients, reference.num_recovered_transients);
-        EXPECT_EQ(fleet_result.unrecovered_failures, reference.num_unrecovered_failures);
-        EXPECT_EQ(fleet_result.permanent_faults, reference.num_permanent_faults);
-        EXPECT_EQ(fleet_result.evacuations, reference.num_evacuations);
-        EXPECT_EQ(fleet_result.safe_mode_entries, reference.num_safe_mode_entries);
-        EXPECT_EQ(fleet_result.avg_energy, reference.avg_energy);
-        EXPECT_EQ(fleet_result.total_reconfig_cost, reference.total_reconfig_cost);
-        EXPECT_EQ(fleet_result.qos_violation_time, reference.qos_violation_time);
-        EXPECT_EQ(fleet_result.downtime, reference.downtime);
-        EXPECT_EQ(fleet_result.availability, reference.availability);
-        EXPECT_EQ(fleet_result.mttr, reference.mttr);
-        EXPECT_EQ(fleet_result.max_drc, reference.max_drc);
+    for (const bool prefetch : {false, true}) {
+      for (const exp::PolicyKind kind : {exp::PolicyKind::Baseline, exp::PolicyKind::Ura,
+                                         exp::PolicyKind::Aura, exp::PolicyKind::Mdp}) {
+        FleetConfig config = make_config();
+        config.params.kind = kind;
+        config.params.prefetch = prefetch;
+        if (faults) enable_faults(config);
+        const rt::QosProcess qos(config.ranges, config.params.qos);
+        const rt::RuntimeSimulator sim(config.params.sim);
+        // MDP devices run both with the fleet-shared plan and with a
+        // per-device rebuild (nullptr); other policies ignore the table.
+        const rt::MdpTable shared =
+            rt::build_mdp_table(db, drc, config.ranges, config.params.p_rc, config.params.qos,
+                                config.params.faults, config.params.mdp);
+        for (const rt::MdpTable* table : {static_cast<const rt::MdpTable*>(nullptr), &shared}) {
+          if (table != nullptr && kind != exp::PolicyKind::Mdp) continue;
+          for (const std::uint64_t device : {0ULL, 17ULL, 95ULL}) {
+            SCOPED_TRACE(testing::Message()
+                         << "kind " << static_cast<int>(kind) << " faults " << faults
+                         << " prefetch " << prefetch << " shared plan " << (table != nullptr)
+                         << " device " << device);
+            const DeviceResult r = simulate_device(db, drc, qos, sim, config.params, nullptr,
+                                                   device, config.seed, table);
+            const rt::RuntimeStats ref = exp::evaluate_policy_with(
+                db, drc, config.ranges, config.params, device_seed(config.seed, device),
+                nullptr);
+            // Bitwise equality (plain EXPECT_EQ on doubles), not approximate:
+            // the fleet path must BE the reference path under the derived
+            // seed, field by field.
+            EXPECT_EQ(r.device, device);
+            EXPECT_EQ(r.events, ref.num_events);
+            EXPECT_EQ(r.reconfigs, ref.num_reconfigs);
+            EXPECT_EQ(r.infeasible_events, ref.num_infeasible_events);
+            EXPECT_EQ(r.transient_faults, ref.num_transient_faults);
+            EXPECT_EQ(r.recovered_transients, ref.num_recovered_transients);
+            EXPECT_EQ(r.unrecovered_failures, ref.num_unrecovered_failures);
+            EXPECT_EQ(r.permanent_faults, ref.num_permanent_faults);
+            EXPECT_EQ(r.evacuations, ref.num_evacuations);
+            EXPECT_EQ(r.safe_mode_entries, ref.num_safe_mode_entries);
+            EXPECT_EQ(r.prefetch_hits, ref.prefetch_hits);
+            EXPECT_EQ(r.prefetch_misses, ref.prefetch_misses);
+            EXPECT_EQ(r.avg_energy, ref.avg_energy);
+            EXPECT_EQ(r.total_reconfig_cost, ref.total_reconfig_cost);
+            EXPECT_EQ(r.qos_violation_time, ref.qos_violation_time);
+            EXPECT_EQ(r.downtime, ref.downtime);
+            EXPECT_EQ(r.availability, ref.availability);
+            EXPECT_EQ(r.mttr, ref.mttr);
+            EXPECT_EQ(r.max_drc, ref.max_drc);
+            EXPECT_EQ(r.reconfig_stall_time, ref.reconfig_stall_time);
+            EXPECT_EQ(r.prefetch_hidden_time, ref.prefetch_hidden_time);
+            EXPECT_EQ(r.service_availability, ref.service_availability);
+          }
+        }
       }
     }
   }

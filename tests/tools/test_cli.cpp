@@ -102,6 +102,36 @@ TEST(CliErrors, SimulateRejectsNegativeFaultRate) {
   EXPECT_NE(out.find("option --fault-rate"), std::string::npos);
 }
 
+TEST(CliErrors, SimulateAndFleetShareTheRuntimeOptionErrors) {
+  // One runtime-options block serves both subcommands: each bad value fails
+  // before any file I/O with the same option-level message.
+  const std::string db = " --db /nonexistent/clrtool_parity.json ";
+  for (const std::string bad :
+       {"--prc 1.5", "--cycles 0", "--policy wishful", "--fault-rate -1"}) {
+    const auto [scode, sout] = run_tool("simulate" + db + bad);
+    const auto [fcode, fout] = run_tool("fleet" + db + bad);
+    EXPECT_EQ(scode, 1) << bad << ": " << sout;
+    EXPECT_EQ(fcode, 1) << bad << ": " << fout;
+    EXPECT_EQ(sout, fout) << bad;
+    EXPECT_NE(sout.find("clrtool: option --" + bad.substr(2, bad.find(' ') - 2) + ":"),
+              std::string::npos)
+        << bad << ": " << sout;
+  }
+}
+
+TEST(CliHappyPath, SimulateAndFleetKeepTheirCyclesDefaults) {
+  // The shared block takes the --cycles default per subcommand: 2e5 for a
+  // single simulated device, 2e4 for each fleet device.
+  const std::string app = " --tasks 5 --seed 3 --pop 8 --gens 2";
+  const auto [scode, sout] = run_tool("simulate" + app);
+  ASSERT_EQ(scode, 0) << sout;
+  EXPECT_NE(sout.find(" 200000 "), std::string::npos) << sout;
+  const auto [fcode, fout] = run_tool("fleet --devices 2 --block 1 --jobs 1" + app);
+  ASSERT_EQ(fcode, 0) << fout;
+  EXPECT_NE(fout.find(" 20000 "), std::string::npos) << fout;
+  EXPECT_EQ(fout.find(" 200000 "), std::string::npos) << fout;
+}
+
 TEST(CliHappyPath, GenerateSucceeds) {
   const auto [code, out] = run_tool("generate --tasks 5 --seed 3");
   EXPECT_EQ(code, 0);

@@ -78,7 +78,6 @@
 #include "experiments/flow.hpp"
 #include "experiments/runner.hpp"
 #include "experiments/session.hpp"
-#include "faults/fault_model.hpp"
 #include "fleet/fleet.hpp"
 #include "io/json.hpp"
 #include "io/serialize.hpp"
@@ -295,6 +294,118 @@ void finish_trace(const std::string& path) {
   tracer.clear();
 }
 
+/// Close an interrupted run's report: why it stopped and how far it got,
+/// plus the resume hint when it wrote checkpoints.
+int report_interrupted(const exp::SessionControl& control, util::StopReason reason,
+                       const std::string& progress, std::uint64_t checkpoints,
+                       const std::string& trace_path) {
+  std::printf("interrupted (%s)%s", util::stop_reason_name(reason), progress.c_str());
+  if (!control.checkpoint_path.empty()) {
+    std::printf("; %llu checkpoint(s) written — rerun with --resume to continue",
+                static_cast<unsigned long long>(checkpoints));
+  }
+  std::printf("\n");
+  finish_trace(trace_path);
+  return kExitInterrupted;
+}
+
+/// The run-time half `simulate` and `fleet` share: the evaluation knobs, the
+/// design database with the application it indexes into, the QoS box and
+/// the per-PE fault profiles.
+struct RuntimeSetup {
+  std::string policy;
+  exp::RuntimeEvalParams params;
+  std::uint64_t sim_seed = 7;
+  std::unique_ptr<exp::AppInstance> app;
+  dse::DesignDb db;
+  /// Set when a .clrdb snapshot carries the precomputed cost matrix.
+  std::optional<rt::DrcMatrix> drc;
+  dse::MetricRanges box;
+};
+
+/// Parse and validate the runtime options (--policy, --prefetch, --prc,
+/// --cycles, --sim-seed, --fault-rate, --pe-mtbf, --qos-tolerance) before
+/// any file I/O, so a typo'd value fails fast with the option-level message.
+/// `default_cycles` is the subcommand's --cycles default.
+RuntimeSetup runtime_options(const Args& args, double default_cycles) {
+  RuntimeSetup rt;
+  exp::RuntimeEvalParams& params = rt.params;
+  rt.policy = args.str("policy", "ura");
+  if (rt.policy == "ura") params.kind = exp::PolicyKind::Ura;
+  else if (rt.policy == "aura") params.kind = exp::PolicyKind::Aura;
+  else if (rt.policy == "mdp") params.kind = exp::PolicyKind::Mdp;
+  else if (rt.policy == "baseline") params.kind = exp::PolicyKind::Baseline;
+  else {
+    throw std::runtime_error("option --policy: unknown policy '" + rt.policy +
+                             "' (use ura, aura, mdp or baseline)");
+  }
+  params.prefetch = args.has("prefetch");
+  params.p_rc = args.real("prc", 0.5);
+  if (params.p_rc < 0.0 || params.p_rc > 1.0) {
+    throw std::runtime_error("option --prc: must be in [0, 1]");
+  }
+  params.sim.total_cycles = args.real("cycles", default_cycles);
+  if (params.sim.total_cycles <= 0.0) {
+    throw std::runtime_error("option --cycles: must be > 0");
+  }
+  // Run-time fault environment (off unless a rate is given).
+  params.faults.transient_rate = args.real("fault-rate", 0.0);
+  if (params.faults.transient_rate < 0.0) {
+    throw std::runtime_error("option --fault-rate: must be >= 0");
+  }
+  params.faults.pe_mtbf = args.real("pe-mtbf", 0.0);
+  if (params.faults.pe_mtbf < 0.0) throw std::runtime_error("option --pe-mtbf: must be >= 0");
+  params.faults.qos_tolerance = args.real("qos-tolerance", params.faults.qos_tolerance);
+  if (params.faults.qos_tolerance < 0.0 || params.faults.qos_tolerance > 1.0) {
+    throw std::runtime_error("option --qos-tolerance: must be in [0, 1]");
+  }
+  rt.sim_seed = static_cast<std::uint64_t>(size_arg(args, "sim-seed", 7));
+  return rt;
+}
+
+/// Load the design database — a .clrdb snapshot (DrcMatrix included), a
+/// JSON artifact, or, without --db, an inline explore (one process covering
+/// DSE + runtime, the single-command tracing path) — and rebuild the
+/// (tasks, seed) application it indexes into. Then derive the QoS box and
+/// the platform's fault profiles.
+void load_design(const Args& args, std::size_t tasks, std::uint64_t seed, std::size_t jobs,
+                 RuntimeSetup& rt) {
+  if (args.has("db")) {
+    const std::string db_path = args.str("db");
+    if (io::is_snapshot_path(db_path)) {
+      auto loaded = io::load_snapshot(db_path);
+      rt.app = exp::make_synthetic_app_with_space(tasks, seed, loaded.space);
+      rt.db = std::move(loaded.db);
+      rt.drc = std::move(loaded.drc);
+    } else {
+      auto loaded = io::load_design_db(db_path);
+      // The database stores indices into the implementation sets, which
+      // regenerate deterministically per seed.
+      rt.app = exp::make_synthetic_app_with_space(tasks, seed, loaded.space);
+      rt.db = std::move(loaded.db);
+    }
+  } else {
+    rt.app = exp::make_synthetic_app(tasks, seed);
+    exp::FlowParams flow_params;
+    flow_params.dse.base_ga.population = size_arg(args, "pop", 64, 2);
+    flow_params.dse.base_ga.generations = size_arg(args, "gens", 60, 1);
+    flow_params.dse.threads = jobs;
+    util::Rng flow_rng(seed ^ 0xD5EULL);
+    rt.db = exp::run_design_flow(*rt.app, flow_params, flow_rng).red;
+    std::printf("explored inline: %zu stored design points (pass --db to reuse a saved "
+                "database)\n",
+                rt.db.size());
+  }
+
+  // QoS box from the database's own ranges, widened like qos_ranges().
+  const auto r = rt.db.ranges();
+  rt.box = r;
+  rt.box.makespan_max = r.makespan_max + 0.25 * (r.makespan_max - r.makespan_min);
+  rt.box.func_rel_min = r.func_rel_min - 0.25 * (r.func_rel_max - r.func_rel_min);
+
+  rt.params = exp::with_platform_fault_profiles(std::move(rt.params), rt.app->platform());
+}
+
 int cmd_generate(const Args& args) {
   args.expect_only({"tasks", "seed", "graph-out", "platform-out", "dot-out"});
   const auto tasks = size_arg(args, "tasks", 20, 1);
@@ -347,16 +458,10 @@ int cmd_explore(const Args& args) {
   if (!outcome.complete) {
     // Partial report only; the database on disk stays the checkpoint, not a
     // half-built artifact that could be mistaken for the full result.
-    std::printf("interrupted (%s) after %llu generation boundaries",
-                util::stop_reason_name(outcome.stop_reason),
-                static_cast<unsigned long long>(outcome.steps));
-    if (!control.checkpoint_path.empty()) {
-      std::printf("; %llu checkpoint(s) written — rerun with --resume to continue",
-                  static_cast<unsigned long long>(outcome.checkpoints_written));
-    }
-    std::printf("\n");
-    finish_trace(trace_path);
-    return kExitInterrupted;
+    return report_interrupted(control, outcome.stop_reason,
+                              " after " + std::to_string(outcome.steps) +
+                                  " generation boundaries",
+                              outcome.checkpoints_written, trace_path);
   }
   if (args.has("db-out")) {
     const std::string out = args.str("db-out");
@@ -386,35 +491,7 @@ int cmd_simulate(const Args& args) {
   const auto tasks = size_arg(args, "tasks", 20, 1);
   const auto seed = static_cast<std::uint64_t>(size_arg(args, "seed", 1));
 
-  exp::RuntimeEvalParams params;
-  const std::string policy = args.str("policy", "ura");
-  if (policy == "ura") params.kind = exp::PolicyKind::Ura;
-  else if (policy == "aura") params.kind = exp::PolicyKind::Aura;
-  else if (policy == "mdp") params.kind = exp::PolicyKind::Mdp;
-  else if (policy == "baseline") params.kind = exp::PolicyKind::Baseline;
-  else {
-    std::fprintf(stderr, "simulate: unknown policy '%s' (use ura, aura, mdp or baseline)\n",
-                 policy.c_str());
-    return usage();
-  }
-  params.prefetch = args.has("prefetch");
-  params.p_rc = args.real("prc", 0.5);
-  if (params.p_rc < 0.0 || params.p_rc > 1.0) {
-    throw std::runtime_error("option --prc: must be in [0, 1]");
-  }
-  params.sim.total_cycles = args.real("cycles", 2e5);
-  if (params.sim.total_cycles <= 0.0) {
-    throw std::runtime_error("option --cycles: must be > 0");
-  }
-
-  // Run-time fault environment (off unless a rate is given). validate()
-  // turns out-of-range values into the one-line error contract.
-  params.faults.transient_rate = args.real("fault-rate", 0.0);
-  params.faults.pe_mtbf = args.real("pe-mtbf", 0.0);
-  params.faults.qos_tolerance = args.real("qos-tolerance", params.faults.qos_tolerance);
-  params.faults.validate();
-
-  const auto sim_seed = static_cast<std::uint64_t>(size_arg(args, "sim-seed", 7));
+  RuntimeSetup rt = runtime_options(args, 2e5);
   const auto replications = size_arg(args, "replications", 1, 1);
   const bool replicated = replications > 1 || args.has("report");
   if (!replicated && (args.has("checkpoint") || args.has("resume") || args.has("time-budget") ||
@@ -426,51 +503,14 @@ int cmd_simulate(const Args& args) {
   const exp::SessionControl control = session_control(args);
   const std::string trace_path = setup_trace(args);
 
-  // Design database: load one produced by `explore` (--db), or — without
-  // --db — run the design-time flow inline first (one-shot explore+simulate,
-  // the path that traces DSE and runtime into a single timeline).
-  std::unique_ptr<exp::AppInstance> app;
-  dse::DesignDb db;
-  // Filled when a .clrdb snapshot carries the precomputed cost matrix; the
-  // evaluation below then skips the per-process DrcMatrix rebuild.
-  std::optional<rt::DrcMatrix> snapshot_drc;
-  if (args.has("db")) {
-    const std::string db_path = args.str("db");
-    if (io::is_snapshot_path(db_path)) {
-      auto loaded = io::load_snapshot(db_path);
-      app = exp::make_synthetic_app_with_space(tasks, seed, loaded.space);
-      db = std::move(loaded.db);
-      snapshot_drc = std::move(loaded.drc);
-    } else {
-      const auto loaded = io::load_design_db(db_path);
-      // Rebuild the identical application (the database stores indices into
-      // its implementation sets, which regenerate deterministically per seed).
-      app = exp::make_synthetic_app_with_space(tasks, seed, loaded.space);
-      db = loaded.db;
-    }
-  } else {
-    app = exp::make_synthetic_app(tasks, seed);
-    exp::FlowParams flow_params;
-    flow_params.dse.base_ga.population = size_arg(args, "pop", 64, 2);
-    flow_params.dse.base_ga.generations = size_arg(args, "gens", 60, 1);
-    flow_params.dse.threads = size_arg(args, "jobs", 0);
-    util::Rng flow_rng(seed ^ 0xD5EULL);
-    db = exp::run_design_flow(*app, flow_params, flow_rng).red;
-    std::printf("explored inline: %zu stored design points (pass --db to reuse a saved "
-                "database)\n",
-                db.size());
-  }
-
-  // QoS box from the database's own ranges, widened like qos_ranges().
-  const auto r = db.ranges();
-  dse::MetricRanges box = r;
-  box.makespan_max = r.makespan_max + 0.25 * (r.makespan_max - r.makespan_min);
-  box.func_rel_min = r.func_rel_min - 0.25 * (r.func_rel_max - r.func_rel_min);
+  load_design(args, tasks, seed, size_arg(args, "jobs", 0), rt);
+  const exp::RuntimeEvalParams& params = rt.params;
+  const std::string& policy = rt.policy;
 
   if (!replicated) {
-    const auto stats = snapshot_drc
-                           ? exp::evaluate_policy(*app, db, *snapshot_drc, box, params, sim_seed)
-                           : exp::evaluate_policy(*app, db, box, params, sim_seed);
+    const auto stats =
+        rt.drc ? exp::evaluate_policy(*rt.app, rt.db, *rt.drc, rt.box, params, rt.sim_seed)
+               : exp::evaluate_policy(*rt.app, rt.db, rt.box, params, rt.sim_seed);
     util::TextTable table("simulation result");
     table.set_header({"policy", "pRC", "cycles", "avg energy", "avg dRC/event", "#reconfigs",
                       "QoS violations", "availability", "MTTR", "unrecovered"});
@@ -494,12 +534,12 @@ int cmd_simulate(const Args& args) {
   config.jobs = size_arg(args, "jobs", 0);
   exp::Runner runner(config);
   exp::RunnerCell cell;
-  cell.app = app.get();
-  cell.db = &db;
-  if (snapshot_drc) cell.drc = &*snapshot_drc;
-  cell.ranges = box;
+  cell.app = rt.app.get();
+  cell.db = &rt.db;
+  if (rt.drc) cell.drc = &*rt.drc;
+  cell.ranges = rt.box;
   cell.params = params;
-  cell.seed = sim_seed;
+  cell.seed = rt.sim_seed;
   cell.label = policy + " pRC=" + util::TextTable::fmt(params.p_rc, 2);
   runner.add_cell(std::move(cell));
   util::install_stop_signal_handlers(global_stop());
@@ -530,17 +570,11 @@ int cmd_simulate(const Args& args) {
     std::printf("report written to %s\n", args.str("report").c_str());
   }
   if (!session.run.complete) {
-    std::printf("interrupted (%s): %llu of %llu replication jobs done",
-                util::stop_reason_name(session.stop_reason),
-                static_cast<unsigned long long>(session.run.jobs_done),
-                static_cast<unsigned long long>(session.run.jobs_total));
-    if (!control.checkpoint_path.empty()) {
-      std::printf("; %llu checkpoint(s) written — rerun with --resume to continue",
-                  static_cast<unsigned long long>(session.checkpoints_written));
-    }
-    std::printf("\n");
-    finish_trace(trace_path);
-    return kExitInterrupted;
+    return report_interrupted(control, session.stop_reason,
+                              ": " + std::to_string(session.run.jobs_done) + " of " +
+                                  std::to_string(session.run.jobs_total) +
+                                  " replication jobs done",
+                              session.checkpoints_written, trace_path);
   }
   finish_trace(trace_path);
   return 0;
@@ -559,89 +593,27 @@ int cmd_fleet(const Args& args) {
   config.shards = size_arg(args, "shards", 0);
   config.jobs = size_arg(args, "jobs", 0);
   config.block_size = static_cast<std::uint64_t>(size_arg(args, "block", 1024, 1));
-  config.seed = static_cast<std::uint64_t>(size_arg(args, "sim-seed", 7));
-
-  exp::RuntimeEvalParams& params = config.params;
-  const std::string policy = args.str("policy", "ura");
-  if (policy == "ura") params.kind = exp::PolicyKind::Ura;
-  else if (policy == "aura") params.kind = exp::PolicyKind::Aura;
-  else if (policy == "mdp") params.kind = exp::PolicyKind::Mdp;
-  else if (policy == "baseline") params.kind = exp::PolicyKind::Baseline;
-  else {
-    std::fprintf(stderr, "fleet: unknown policy '%s' (use ura, aura, mdp or baseline)\n",
-                 policy.c_str());
-    return usage();
-  }
-  params.prefetch = args.has("prefetch");
-  params.p_rc = args.real("prc", 0.5);
-  if (params.p_rc < 0.0 || params.p_rc > 1.0) {
-    throw std::runtime_error("option --prc: must be in [0, 1]");
-  }
   // Shorter default horizon than `simulate` (2e4 vs 2e5 cycles): fleet runs
   // amortize statistical power across devices, not cycles.
-  params.sim.total_cycles = args.real("cycles", 2e4);
-  if (params.sim.total_cycles <= 0.0) {
-    throw std::runtime_error("option --cycles: must be > 0");
-  }
-  params.faults.transient_rate = args.real("fault-rate", 0.0);
-  params.faults.pe_mtbf = args.real("pe-mtbf", 0.0);
-  params.faults.qos_tolerance = args.real("qos-tolerance", params.faults.qos_tolerance);
-  params.faults.validate();
-
+  RuntimeSetup rt = runtime_options(args, 2e4);
   const exp::SessionControl control = session_control(args);
-
-  // Design database: a .clrdb snapshot (the fleet-scale path — one mapped
-  // copy, DrcMatrix included), a JSON artifact, or an inline explore.
-  std::unique_ptr<exp::AppInstance> app;
-  dse::DesignDb db;
-  std::optional<rt::DrcMatrix> drc;
-  if (args.has("db")) {
-    const std::string db_path = args.str("db");
-    if (io::is_snapshot_path(db_path)) {
-      auto loaded = io::load_snapshot(db_path);
-      app = exp::make_synthetic_app_with_space(tasks, seed, loaded.space);
-      db = std::move(loaded.db);
-      drc = std::move(loaded.drc);
-    } else {
-      const auto loaded = io::load_design_db(db_path);
-      app = exp::make_synthetic_app_with_space(tasks, seed, loaded.space);
-      db = loaded.db;
-    }
-  } else {
-    app = exp::make_synthetic_app(tasks, seed);
-    exp::FlowParams flow_params;
-    flow_params.dse.base_ga.population = size_arg(args, "pop", 64, 2);
-    flow_params.dse.base_ga.generations = size_arg(args, "gens", 60, 1);
-    flow_params.dse.threads = config.jobs;
-    util::Rng flow_rng(seed ^ 0xD5EULL);
-    db = exp::run_design_flow(*app, flow_params, flow_rng).red;
-    std::printf("explored inline: %zu stored design points (pass --db to reuse a saved "
-                "database)\n",
-                db.size());
-  }
-  if (!drc) {
+  load_design(args, tasks, seed, config.jobs, rt);
+  if (!rt.drc) {
     // No precomputed matrix in the artifact: rebuild it once, up front (the
     // pipeline itself never computes pairwise costs).
-    recfg::ReconfigModel reconfig(app->platform(), app->impls());
+    recfg::ReconfigModel reconfig(rt.app->platform(), rt.app->impls());
     util::ThreadPool pool(config.jobs);
-    drc.emplace(db, reconfig, &pool);
+    rt.drc.emplace(rt.db, reconfig, &pool);
   }
-
-  // Per-device fault environment mirrors exp::evaluate_policy: per-PE SER
-  // profiles derived from the platform when injection is on.
-  if (params.faults.enabled() && params.fault_profiles.empty()) {
-    params.fault_profiles = flt::profiles_from_platform(app->platform());
-  }
-
-  // QoS box from the database's own ranges, widened like qos_ranges().
-  const auto r = db.ranges();
-  config.ranges = r;
-  config.ranges.makespan_max = r.makespan_max + 0.25 * (r.makespan_max - r.makespan_min);
-  config.ranges.func_rel_min = r.func_rel_min - 0.25 * (r.func_rel_max - r.func_rel_min);
+  config.seed = rt.sim_seed;
+  config.params = std::move(rt.params);
+  config.ranges = rt.box;
+  const exp::RuntimeEvalParams& params = config.params;
+  const std::string& policy = rt.policy;
 
   util::install_stop_signal_handlers(global_stop());
   const fleet::FleetSessionOutcome outcome =
-      fleet::run_fleet_session(db, *drc, &app->clr_space(), config, control);
+      fleet::run_fleet_session(rt.db, *rt.drc, &rt.app->clr_space(), config, control);
   const fleet::FleetResult& result = outcome.result;
   const fleet::FleetSummary& s = result.summary;
   if (outcome.resumed) {
@@ -747,16 +719,10 @@ int cmd_fleet(const Args& args) {
   }
 
   if (!result.complete) {
-    std::printf("interrupted (%s): %llu of %llu blocks done",
-                util::stop_reason_name(outcome.stop_reason),
-                static_cast<unsigned long long>(result.progress.blocks_done()),
-                static_cast<unsigned long long>(result.progress.done.size()));
-    if (!control.checkpoint_path.empty()) {
-      std::printf("; %llu checkpoint(s) written — rerun with --resume to continue",
-                  static_cast<unsigned long long>(outcome.checkpoints_written));
-    }
-    std::printf("\n");
-    return kExitInterrupted;
+    return report_interrupted(control, outcome.stop_reason,
+                              ": " + std::to_string(result.progress.blocks_done()) + " of " +
+                                  std::to_string(result.progress.done.size()) + " blocks done",
+                              outcome.checkpoints_written, "");
   }
   return 0;
 }
